@@ -46,7 +46,7 @@ def main():
     print(f"candidate count per partition     : {result.candidate_history}")
 
     # 5. Superposition post-processing ([7]) sharpens the answer for free.
-    pruned = apply_superposition(result, scan)
+    [pruned] = apply_superposition([result], scan)
     print(f"candidates (superposition pruning): {sorted(pruned.candidate_cells)}")
     assert pruned.actual_cells <= pruned.candidate_cells, "diagnosis must be sound"
     print("all truly failing cells are in the candidate set — diagnosis sound")

@@ -122,7 +122,8 @@ class PodemEngine:
     """PODEM over one netlist (reusable across faults)."""
 
     def __init__(self, netlist: Netlist, backtrack_limit: int = 200):
-        netlist.validate()
+        # The topological sort below is the loop check.
+        netlist.validate_connectivity()
         self.netlist = netlist
         self.backtrack_limit = backtrack_limit
         self.topo = topological_order(netlist)

@@ -73,8 +73,10 @@ class SessionOutcome:
         return self._signatures
 
     @property
-    def signature_matrix(self) -> Optional[np.ndarray]:
-        return self._signature_matrix
+    def signature_matrix(self) -> np.ndarray:
+        """Signatures as a ``(group, channel)`` ``uint64`` array."""
+        matrix = self._signature_matrix
+        return matrix if matrix is not None else self._matrix()
 
     @property
     def num_groups(self) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Sequence, Set
 
-from .netlist import Netlist
+from .netlist import Netlist, NetlistError
 
 
 def topological_order(netlist: Netlist) -> List[str]:
@@ -18,6 +18,7 @@ def topological_order(netlist: Netlist) -> List[str]:
 
     ``INPUT`` and ``DFF`` nets (the combinational sources) come first.
     Kahn's algorithm; deterministic given the netlist insertion order.
+    Raises :class:`NetlistError` when combinational gates form a loop.
     """
     indegree: Dict[str, int] = {}
     fanout: Dict[str, List[str]] = {net: [] for net in netlist.gates}
@@ -38,7 +39,7 @@ def topological_order(netlist: Netlist) -> List[str]:
             if indegree[succ] == 0:
                 ready.append(succ)
     if len(order) != len(netlist.gates):
-        raise ValueError("netlist has a combinational loop")
+        raise NetlistError("netlist has a combinational loop")
     return order
 
 

@@ -158,6 +158,14 @@ class Netlist:
     def validate(self) -> None:
         """Raise :class:`NetlistError` on dangling nets, combinational loops,
         or malformed I/O declarations."""
+        self.validate_connectivity()
+        self._check_combinational_loops()
+
+    def validate_connectivity(self) -> None:
+        """:meth:`validate` without the loop search: dangling nets and
+        malformed I/O declarations only.  For callers that order the netlist
+        next — :func:`~repro.circuit.levelize.topological_order` rejects
+        loops as a side effect."""
         for net in self.outputs:
             if net not in self.gates:
                 raise NetlistError(f"output {net!r} has no driver")
@@ -171,7 +179,6 @@ class Netlist:
             gate = self.gates.get(net)
             if gate is None or gate.gtype is not GateType.INPUT:
                 raise NetlistError(f"declared input {net!r} is not an INPUT gate")
-        self._check_combinational_loops()
 
     def _check_combinational_loops(self) -> None:
         # DFF outputs and primary inputs break cycles; only combinational

@@ -137,7 +137,7 @@ def diagnose_main(argv: Optional[List[str]] = None) -> int:
     for response in responses:
         result = diagnose(response, scan, partitions, compactor)
         if args.prune:
-            result = apply_superposition(result, scan)
+            [result] = apply_superposition([result], scan)
         results.append(result)
         if args.verbose:
             print(f"{response.fault}: actual={sorted(result.actual_cells)} "

@@ -231,10 +231,16 @@ def evaluate_scheme(
     dr_pruned = None
     pruned_results: List[DiagnosisResult] = []
     if with_pruning:
-        with span("superposition.prune", scheme=scheme, workload=workload.name):
-            pruned_results = [
-                apply_superposition(result, workload.scan_config) for result in results
-            ]
+        with span("superposition.prune", scheme=scheme,
+                  workload=workload.name) as sp:
+            pruned_results = apply_superposition(results, workload.scan_config)
+            candidates_in = sum(len(r.candidate_cells) for r in results)
+            candidates_out = sum(len(r.candidate_cells) for r in pruned_results)
+            sp.add("candidates_in", candidates_in)
+            sp.add("candidates_out", candidates_out)
+            METRICS.incr("superposition.pruned_cells",
+                         candidates_in - candidates_out,
+                         labels={"scheme": scheme})
         with span("dr.score", scheme=scheme, workload=workload.name, pruned=True):
             dr_pruned = diagnostic_resolution(pruned_results)
     return SchemeEvaluation(scheme, dr, dr_pruned, results, pruned_results)

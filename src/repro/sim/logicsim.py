@@ -66,7 +66,8 @@ class CompiledCircuit:
     """A netlist compiled to flat arrays for fast repeated simulation."""
 
     def __init__(self, netlist: Netlist):
-        netlist.validate()
+        # The topological sort is the loop check.
+        netlist.validate_connectivity()
         self.netlist = netlist
         topo = topological_order(netlist)
         self.net_order: List[str] = topo

@@ -11,7 +11,7 @@ from repro.circuit.levelize import (
     observing_cells,
     topological_order,
 )
-from repro.circuit.netlist import GateType, Netlist
+from repro.circuit.netlist import GateType, Netlist, NetlistError
 
 
 class TestTopologicalOrder:
@@ -42,7 +42,7 @@ class TestTopologicalOrder:
         net.add_gate("X", GateType.AND, ["A", "Y"])
         net.add_gate("Y", GateType.OR, ["X"])
         net.add_output("Y")
-        with pytest.raises(ValueError):
+        with pytest.raises(NetlistError, match="loop"):
             topological_order(net)
 
 

@@ -91,6 +91,26 @@ class TestNetlist:
         with pytest.raises(NetlistError, match="loop"):
             net.validate()
 
+    def test_combinational_loop_rejected_at_compile(self):
+        from repro.sim.logicsim import CompiledCircuit
+
+        net = Netlist("loop")
+        net.add_input("A")
+        net.add_gate("X", GateType.AND, ["A", "Y"])
+        net.add_gate("Y", GateType.OR, ["X", "A"])
+        net.add_output("Y")
+        net.validate_connectivity()  # the loop is the only defect
+        with pytest.raises(NetlistError, match="loop"):
+            CompiledCircuit(net)
+
+    def test_dangling_net_rejected_at_compile(self):
+        from repro.sim.logicsim import CompiledCircuit
+
+        net = self.build_minimal()
+        net.add_output("MISSING")
+        with pytest.raises(NetlistError, match="MISSING"):
+            CompiledCircuit(net)
+
     def test_sequential_loop_through_dff_is_legal(self):
         net = Netlist("seqloop")
         net.add_input("A")

@@ -35,7 +35,7 @@ class TestPruning:
         config = ScanConfig.single_chain(64)
         response = make_response({10: [0, 2], 40: [1, 5]})
         result = run(response, config, count=2)
-        pruned = apply_superposition(result, config)
+        [pruned] = apply_superposition([result], config)
         assert pruned.candidate_cells <= result.candidate_cells
         assert pruned.sound
 
@@ -48,7 +48,7 @@ class TestPruning:
                  for c in local.choice(80, 4, replace=False)}
             )
             result = run(response, config, scheme="two-step", count=3)
-            pruned = apply_superposition(result, config)
+            [pruned] = apply_superposition([result], config)
             assert pruned.candidate_cells <= result.candidate_cells
 
     def test_sound_at_width_24(self, rng):
@@ -60,14 +60,14 @@ class TestPruning:
                  for c in local.choice(100, 6, replace=False)}
             )
             result = run(response, config, scheme="two-step", groups=8, count=4)
-            pruned = apply_superposition(result, config)
+            [pruned] = apply_superposition([result], config)
             assert pruned.sound
 
     def test_multi_chain_pruning_stays_per_channel(self, rng):
         config = ScanConfig.balanced(40, 4)
         response = make_response({5: [0], 25: [3]})
         result = run(response, config, scheme="two-step", count=3)
-        pruned = apply_superposition(result, config)
+        [pruned] = apply_superposition([result], config)
         assert pruned.sound
         assert pruned.candidate_cells <= result.candidate_cells
 
@@ -87,7 +87,7 @@ class TestHandCrafted:
         result = diagnose(response, config, [p1, p2], compactor)
         # Intersection keeps positions {2, 3} (both failing groups).
         assert result.candidate_cells == {2, 3}
-        pruned = apply_superposition(result, config)
+        [pruned] = apply_superposition([result], config)
         # Derived signature of {0,1} ∪ {4,5} is zero -> already outside the
         # mask; the informative pair is (group0 of p1, group0 of p2) whose
         # difference {0,1,4,5} is error-free.  Cell 2 is in neither failing
@@ -107,17 +107,81 @@ class TestHandCrafted:
         result = diagnose(response, config, [p1, p2, p3], compactor)
         assert result.candidate_cells == {3}
 
+    def test_equal_pair_prunes_its_difference(self):
+        """Cells 3 and 5 fail.  (p1 g0, p3 g0) both hold only cell 3, so
+        their derived signature is zero and their difference {2, 4} goes;
+        intersection alone keeps {2, 3, 4, 5}."""
+        config = ScanConfig.single_chain(8)
+        response = make_response({3: [0], 5: [1, 2]})
+        result = diagnose(response, config, self._separating_partitions(),
+                          LinearCompactor(16, 1))
+        assert result.candidate_cells == {2, 3, 4, 5}
+        [pruned] = apply_superposition([result], config)
+        assert pruned.candidate_cells == {3, 5}
+
+    def test_combined_readout_prunes_every_chain(self):
+        """One signature column observes both chains: a zero derived
+        signature exonerates its difference on chain 1 as well."""
+        config = ScanConfig.balanced(16, 2)
+        response = make_response({3: [0], 5: [1, 2]})
+        result = diagnose(response, config, self._separating_partitions(),
+                          LinearCompactor(16, 2), channel_resolution=False)
+        # Shift positions {2, 3, 4, 5} of both chains survive intersection.
+        assert result.candidate_cells == {2, 3, 4, 5, 10, 11, 12, 13}
+        [pruned] = apply_superposition([result], config)
+        assert pruned.candidate_cells == {3, 5, 11, 13}
+
+    def test_scalar_compactor_outcomes(self):
+        """Outcomes holding only Python-int signatures (the scalar-compactor
+        path) prune the same."""
+        config = ScanConfig.single_chain(8)
+        response = make_response({3: [0], 5: [1, 2]})
+        inner = LinearCompactor(16, 1)
+
+        class ScalarOnly:
+            def impulse_response(self, channel, steps):
+                return inner.impulse_response(channel, steps)
+
+        result = diagnose(response, config, self._separating_partitions(),
+                          ScalarOnly())
+        [pruned] = apply_superposition([result], config)
+        assert pruned.candidate_cells == {3, 5}
+
+    def test_prune_kernel_on_tensor(self):
+        from repro.core.partitions import Partition
+
+        p1 = Partition(np.array([0, 0, 1, 1]), 2)
+        p2 = Partition(np.array([0, 1, 1, 0]), 2)
+        signatures = np.zeros((2, 2, 2, 1), dtype=np.uint64)
+        signatures[0, :, 0, 0] = 7  # fault 0: p1 g0 == p2 g0 -> prune {1, 3}
+        signatures[1, :, :, 0] = [[7, 0], [9, 0]]  # fault 1: nothing equal
+        masks = np.ones((2, 1, 4), dtype=bool)
+        pruned = superposition_prune([p1, p2], signatures, masks)
+        assert pruned[0, 0].tolist() == [True, False, True, False]
+        assert pruned[1].all()
+        assert masks.all()  # inputs untouched
+
+    @staticmethod
+    def _separating_partitions():
+        from repro.core.partitions import Partition
+
+        return [
+            Partition(np.array([0, 0, 0, 0, 1, 1, 1, 1]), 2),
+            Partition(np.array([1, 1, 0, 0, 0, 0, 1, 1]), 2),
+            Partition(np.array([0, 0, 1, 0, 0, 1, 1, 1]), 2),
+        ]
+
     def test_exact_mode_rejected(self):
         config = ScanConfig.single_chain(16)
         response = make_response({3: [0]})
         parts = make_partitioner("random", 16, 4).partitions(2)
         result = diagnose(response, config, parts, compactor=None)
         with pytest.raises(ValueError, match="MISR signatures"):
-            apply_superposition(result, config)
+            apply_superposition([result], config)
 
     def test_missing_mask_rejected(self):
         from repro.core.diagnosis import DiagnosisResult
 
         result = DiagnosisResult(set(), set(), [], [], position_mask=None)
         with pytest.raises(ValueError, match="position mask"):
-            apply_superposition(result, ScanConfig.single_chain(4))
+            apply_superposition([result], ScanConfig.single_chain(4))

@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments import default_config
 from repro.experiments import cache
+from repro.experiments.runner import build_circuit_workload, evaluate_scheme
 from repro.experiments.table1 import run_table1
 from repro.telemetry import METRICS, TRACER, enable_tracing, span_rollup
 
@@ -28,6 +29,25 @@ class TestTracedRun:
             "partitions.generate", "diagnose", "dr.score",
         }
         assert expected <= names, f"missing stages: {expected - names}"
+
+    def test_superposition_effect_recorded(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "0.2")
+        config = default_config(num_faults=12, num_faults_large=12)
+        key = "superposition.pruned_cells{scheme=random}"
+        start = METRICS.snapshot()["counters"].get(key, 0)
+        enable_tracing()
+        workload = build_circuit_workload("s5378", config)
+        evaluation = evaluate_scheme(
+            workload, "random", 2, 4, config, with_pruning=True
+        )
+        before = sum(len(r.candidate_cells) for r in evaluation.results)
+        after = sum(len(r.candidate_cells) for r in evaluation.pruned_results)
+        assert after < before
+        [row] = [r for r in span_rollup() if r["name"] == "superposition.prune"]
+        assert row["counters"] == {"candidates_in": before,
+                                   "candidates_out": after}
+        pruned = METRICS.snapshot()["counters"][key] - start
+        assert pruned == before - after
 
     def test_cache_and_session_metrics_recorded(self, small_config):
         cache.clear()

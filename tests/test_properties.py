@@ -104,8 +104,8 @@ def test_superposition_is_idempotent(seed):
     compactor = LinearCompactor(24, 1)
     for response in responses:
         result = diagnose(response, config, partitions, compactor)
-        once = apply_superposition(result, config)
-        twice = apply_superposition(once, config)
+        [once] = apply_superposition([result], config)
+        [twice] = apply_superposition([once], config)
         assert once.candidate_cells == twice.candidate_cells
 
 
