@@ -26,6 +26,7 @@ thin view for callers and tests.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -135,6 +136,35 @@ class SessionOutcome:
         else:
             collapsed = np.zeros(self.num_groups, dtype=np.uint64)
         return SessionOutcome(signature_matrix=collapsed.reshape(-1, 1))
+
+
+class OutcomeViews(SequenceABC):
+    """Read-only sequence of one fault's :class:`SessionOutcome`\\ s, built
+    on access from its ``(partition, group, channel)`` signature tensor.
+
+    ``tensor[p, :group_counts[p]]`` is partition ``p``'s signature matrix;
+    groups beyond a partition's count are zero, so consumers that want the
+    whole tensor (superposition, the fork-pool codec) read ``tensor``
+    directly instead of restacking the outcomes.
+    """
+
+    __slots__ = ("tensor", "group_counts")
+
+    def __init__(self, tensor: np.ndarray, group_counts: Sequence[int]):
+        self.tensor = tensor
+        self.group_counts = group_counts
+
+    def __len__(self) -> int:
+        return len(self.group_counts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        count = self.group_counts[index]  # IndexError / negative as a list
+        return SessionOutcome(signature_matrix=self.tensor[index, :count])
+
+    def __repr__(self) -> str:
+        return f"OutcomeViews({list(self)!r})"
 
 
 @dataclass(frozen=True)

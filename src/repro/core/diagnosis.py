@@ -37,7 +37,9 @@ class DiagnosisResult:
 
     actual_cells: Set[int]
     candidate_cells: Set[int]
-    outcomes: List[SessionOutcome]
+    #: One entry per partition: a list, or the fused kernel's read-only
+    #: :class:`~repro.bist.session.OutcomeViews`.
+    outcomes: Sequence[SessionOutcome]
     partitions: List[Partition]
     candidate_history: List[int] = field(default_factory=list)
     #: Candidate mask ``[chain, position]`` after intersection pruning

@@ -12,13 +12,17 @@ This module fuses the population axis too:
 3. one ``np.bitwise_xor.at`` scatter fills the whole
    ``(fault, partition, group, channel)`` signature tensor (exact mode is a
    boolean scatter),
-4. one cumulative AND over the partition axis yields every fault's
-   candidate mask *and* its full ``candidate_history`` prefix sweep.
+4. one batched matmul against the partitions' packed group-membership
+   words turns the session verdicts into packed candidate words (32
+   positions each), and a cumulative AND over the partition axis yields
+   every fault's candidate mask; a popcount of each prefix is its
+   ``candidate_history`` (:func:`verdict_prefixes`).
 
 The results are bit-identical :class:`~repro.core.diagnosis.DiagnosisResult`
-objects whose :class:`~repro.bist.session.SessionOutcome` views alias
-slices of the signature tensor, so Table 1 / Figure 5 / superposition
-consumers are untouched.
+objects whose outcomes are lazy, read-only
+:class:`~repro.bist.session.OutcomeViews` over the fault's slice of the
+signature tensor, so Table 1 / Figure 5 / superposition consumers are
+untouched.
 
 ``REPRO_DIAGNOSIS_BATCH`` gates the kernel: unset/empty runs fused with the
 default chunk, ``0`` falls back to the per-fault oracle, any other integer
@@ -32,14 +36,20 @@ thousands of pickled Python objects.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..bist.misr import LinearCompactor
 from ..bist.scan import ScanConfig
-from ..bist.session import SessionOutcome, collect_population_events
+from ..bist.session import OutcomeViews, collect_population_events
 from ..parallel import Codec, parallel_map, resolve_workers
+from ..sim.bitops import (
+    count_bits,
+    num_position_words,
+    position_words,
+    word_positions,
+)
 from ..sim.faultsim import FaultResponse
 from ..telemetry import METRICS, span, warn_env_once
 from .diagnosis import DiagnosisResult, diagnose
@@ -130,7 +140,7 @@ def diagnose_population(
         for start in range(0, len(responses), chunk)
     ]
     if len(chunks) > 1 and resolve_workers(workers) > 1:
-        codec = _make_chunk_codec(partitions, scan_config, channel_resolution)
+        codec = _make_chunk_codec(partitions, scan_config.max_length)
         chunk_results = parallel_map(
             lambda c: _diagnose_chunk(
                 responses[chunks[c][0]:chunks[c][1]], scan_config, partitions,
@@ -244,86 +254,106 @@ def _diagnose_chunk(
             num_faults * sum(part.num_groups for part in partitions),
         )
 
-        # Per-partition failing verdicts -> per-position masks, stacked as
-        # [partition, fault, chain, position] so one cumulative AND along
-        # the partition axis yields every prefix of the intersection sweep.
-        collapsed = None
+        # Session verdicts -> packed per-position candidate words.  The
+        # combined readout has one verdict column, broadcast to every chain.
         if channel_resolution:
-            failing = tensor != 0  # [fault, partition, group, channel]
-        else:
-            if exact:
-                collapsed = (tensor != 0).any(axis=3).astype(np.uint64)
-            elif num_channels:
-                collapsed = np.bitwise_xor.reduce(tensor, axis=3)
-            else:
-                collapsed = np.zeros(
-                    (num_faults, num_parts, max_groups), dtype=np.uint64
-                )
-            failing = collapsed != 0  # [fault, partition, group]
-
-        presence = scan_config.presence_mask()  # [chain, position]
-        length = scan_config.max_length
-        prefix = np.empty(
-            (num_parts, num_faults, scan_config.num_chains, length), dtype=bool
-        )
-        for p, part in enumerate(partitions):
-            if channel_resolution:
-                # [fault, position, channel] -> [fault, chain, position]
-                prefix[p] = failing[:, p][:, part.group_of, :].transpose(0, 2, 1)
-            else:
-                prefix[p] = failing[:, p][:, part.group_of][:, np.newaxis, :]
-        np.logical_and.accumulate(prefix, axis=0, out=prefix)
-        prefix &= presence[np.newaxis, np.newaxis]
-        history = prefix.sum(axis=(2, 3))  # [partition, fault]
-
-        final_mask = prefix[-1]  # [fault, chain, position]
-        grid = scan_config.cell_id_grid()
-        valid = final_mask & (grid >= 0)[np.newaxis]
-        fault_idx, chain_idx, pos_idx = np.nonzero(valid)
-        candidate_cells = grid[chain_idx, pos_idx]
-        bounds = np.searchsorted(fault_idx, np.arange(num_faults + 1))
-
-    results: List[DiagnosisResult] = []
-    for f, response in enumerate(responses):
-        if channel_resolution:
-            outcomes = [
-                SessionOutcome(
-                    signature_matrix=tensor[f, p, : part.num_groups, :]
-                )
-                for p, part in enumerate(partitions)
-            ]
-        else:
-            outcomes = [
-                SessionOutcome(
-                    signature_matrix=collapsed[f, p, : part.num_groups]
-                    .reshape(-1, 1)
-                )
-                for p, part in enumerate(partitions)
-            ]
-        candidates = {
-            int(c) for c in candidate_cells[bounds[f]:bounds[f + 1]]
-        }
-        results.append(
-            DiagnosisResult(
-                actual_cells=set(response.failing_cells),
-                candidate_cells=candidates,
-                outcomes=outcomes,
-                partitions=partitions,
-                candidate_history=[int(h) for h in history[:, f]],
-                position_mask=final_mask[f].copy(),
+            signatures = tensor
+        elif exact:
+            signatures = (tensor != 0).any(axis=3, keepdims=True).astype(
+                np.uint64
             )
+        else:
+            signatures = np.bitwise_xor.reduce(tensor, axis=3, keepdims=True)
+        failing = np.broadcast_to(
+            (signatures != 0).transpose(0, 1, 3, 2),
+            (num_faults, num_parts, num_channels, max_groups),
         )
-    return results
+        history, final = verdict_prefixes(
+            failing, group_membership(partitions),
+            position_words(scan_config.presence_mask()),
+        )
+        # [fault, chain, position]
+        final_mask = word_positions(final, scan_config.max_length)
+
+        fault_idx, chain_idx, pos_idx = np.nonzero(final_mask)
+        cells = scan_config.cell_id_grid()[chain_idx, pos_idx].tolist()
+        bounds = np.searchsorted(fault_idx, np.arange(num_faults + 1)).tolist()
+        history_rows = history.T.tolist()
+
+    group_counts = [part.num_groups for part in partitions]
+    return [
+        DiagnosisResult(
+            actual_cells=set(response.cell_errors),
+            candidate_cells=set(cells[lo:hi]),
+            outcomes=OutcomeViews(signatures[f], group_counts),
+            partitions=partitions,
+            candidate_history=history_rows[f],
+            position_mask=final_mask[f],
+        )
+        for f, (response, lo, hi) in enumerate(
+            zip(responses, bounds, bounds[1:])
+        )
+    ]
+
+
+def group_membership(partitions: Sequence[Partition]) -> np.ndarray:
+    """``membership[p, g, w]``: the positions in group ``g`` of partition
+    ``p`` as packed position words (:meth:`Partition.group_words`), in
+    ``float64`` for :func:`verdict_prefixes`; absent groups are empty."""
+    membership = np.zeros((
+        len(partitions),
+        max(part.num_groups for part in partitions),
+        num_position_words(partitions[0].length),
+    ), dtype=np.float64)
+    for p, part in enumerate(partitions):
+        membership[p, : part.num_groups] = part.group_words()
+    return membership
+
+
+def verdict_prefixes(
+    failing: np.ndarray,
+    membership: np.ndarray,
+    presence: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every prefix of the candidate intersection, on packed words.
+
+    ``failing[f, p, c, g]`` is the verdict of session ``(p, g)`` on
+    channel ``c`` for fault ``f``; ``membership`` comes from
+    :func:`group_membership`; ``presence[c, w]`` (optional) masks
+    positions without a cell.  A position is a candidate under partition
+    ``p`` iff its group failed: the OR of the failing groups' membership
+    words.  The groups are disjoint, so the OR is a sum, and one batched
+    ``float64`` matmul computes every plane exactly (each word is below
+    ``2**32``).  A cumulative AND along the partition axis then yields
+    every prefix.
+
+    Returns ``(history, final)``: ``history[p, f]`` is fault ``f``'s
+    candidate count after the first ``p + 1`` partitions (a popcount;
+    padding bits are zero) and ``final[f, c, w]`` the last prefix's words.
+    Shared by the failing-cell and failing-vector fused kernels.
+    """
+    num_faults, num_parts, num_channels, max_groups = failing.shape
+    verdicts = failing.transpose(1, 0, 2, 3).reshape(
+        num_parts, num_faults * num_channels, max_groups
+    )
+    planes = (
+        np.matmul(verdicts.astype(np.float64), membership)
+        .astype(np.uint32)
+        .reshape(num_parts, num_faults, num_channels, -1)
+    )
+    if presence is not None:
+        planes[0] &= presence
+    # An in-place running AND: np.bitwise_and.accumulate along the outer
+    # axis walks it element by element and is an order of magnitude slower.
+    for p in range(1, num_parts):
+        planes[p] &= planes[p - 1]
+    return count_bits(planes, axis=(2, 3)), planes[-1]
 
 
 # -- packed chunk transport ----------------------------------------------------
 
 
-def _make_chunk_codec(
-    partitions: Sequence[Partition],
-    scan_config: ScanConfig,
-    channel_resolution: bool,
-) -> Codec:
+def _make_chunk_codec(partitions: Sequence[Partition], length: int) -> Codec:
     """Transport codec for forked chunk results.
 
     A chunk's :class:`DiagnosisResult` list is mostly numpy state sliced
@@ -336,83 +366,62 @@ def _make_chunk_codec(
     the closure here in the parent).
     """
     group_counts = [part.num_groups for part in partitions]
-    max_groups = max(group_counts)
-    num_parts = len(partitions)
-    mask_shape = (scan_config.num_chains, scan_config.max_length)
-    sig_channels = scan_config.num_chains if channel_resolution else 1
+    partitions_list = list(partitions)
 
     def encode(chunk_lists: List[List[DiagnosisResult]]) -> Dict[str, Any]:
         flat = [result for group in chunk_lists for result in group]
-        num_faults = len(flat)
-        signatures = np.zeros(
-            (num_faults, num_parts, max_groups, sig_channels), dtype=np.uint64
-        )
-        masks = np.zeros((num_faults,) + mask_shape, dtype=bool)
-        history = np.zeros((num_faults, num_parts), dtype=np.int64)
         actual = [np.asarray(sorted(r.actual_cells), dtype=np.int64)
                   for r in flat]
         cand = [np.asarray(sorted(r.candidate_cells), dtype=np.int64)
                 for r in flat]
-        for f, result in enumerate(flat):
-            masks[f] = result.position_mask
-            history[f] = result.candidate_history
-            for p, outcome in enumerate(result.outcomes):
-                matrix = outcome.signature_matrix
-                signatures[f, p, : matrix.shape[0], : matrix.shape[1]] = matrix
         return {
             "chunk_lens": np.asarray(
                 [len(group) for group in chunk_lists], dtype=np.int64
             ),
-            "signatures": signatures,
-            "mask_bits": np.packbits(masks),
-            "history": history,
-            "actual": np.concatenate(actual) if actual
-            else np.zeros(0, dtype=np.int64),
+            "signatures": np.stack([r.outcomes.tensor for r in flat]),
+            "mask_words": position_words(
+                np.stack([r.position_mask for r in flat])
+            ),
+            "history": np.asarray(
+                [r.candidate_history for r in flat], dtype=np.int64
+            ),
+            "actual": np.concatenate(actual),
             "actual_offsets": np.cumsum(
                 [0] + [a.size for a in actual], dtype=np.int64
             ),
-            "cand": np.concatenate(cand) if cand
-            else np.zeros(0, dtype=np.int64),
+            "cand": np.concatenate(cand),
             "cand_offsets": np.cumsum(
                 [0] + [c.size for c in cand], dtype=np.int64
             ),
         }
 
     def decode(wire: Dict[str, Any]) -> List[List[DiagnosisResult]]:
-        chunk_lens = wire["chunk_lens"]
-        num_faults = int(chunk_lens.sum())
-        masks = np.unpackbits(
-            wire["mask_bits"],
-            count=num_faults * mask_shape[0] * mask_shape[1],
-        ).astype(bool).reshape((num_faults,) + mask_shape)
+        masks = word_positions(wire["mask_words"], length)
         signatures = wire["signatures"]
-        history = wire["history"]
-        results: List[DiagnosisResult] = []
-        partitions_list = list(partitions)
-        for f in range(num_faults):
-            outcomes = [
-                SessionOutcome(
-                    signature_matrix=signatures[f, p, : group_counts[p], :]
-                )
-                for p in range(num_parts)
-            ]
-            a_lo, a_hi = wire["actual_offsets"][f], wire["actual_offsets"][f + 1]
-            c_lo, c_hi = wire["cand_offsets"][f], wire["cand_offsets"][f + 1]
-            results.append(
-                DiagnosisResult(
-                    actual_cells={int(c) for c in wire["actual"][a_lo:a_hi]},
-                    candidate_cells={int(c) for c in wire["cand"][c_lo:c_hi]},
-                    outcomes=outcomes,
-                    partitions=partitions_list,
-                    candidate_history=[int(h) for h in history[f]],
-                    position_mask=masks[f],
-                )
+        history = wire["history"].tolist()
+        actual = wire["actual"]
+        actual_offsets = wire["actual_offsets"].tolist()
+        cand = wire["cand"]
+        cand_offsets = wire["cand_offsets"].tolist()
+        results = [
+            DiagnosisResult(
+                actual_cells=set(actual[a_lo:a_hi].tolist()),
+                candidate_cells=set(cand[c_lo:c_hi].tolist()),
+                outcomes=OutcomeViews(signatures[f], group_counts),
+                partitions=partitions_list,
+                candidate_history=history[f],
+                position_mask=masks[f],
             )
+            for f, (a_lo, a_hi, c_lo, c_hi) in enumerate(zip(
+                actual_offsets, actual_offsets[1:],
+                cand_offsets, cand_offsets[1:],
+            ))
+        ]
         regrouped: List[List[DiagnosisResult]] = []
         start = 0
-        for size in chunk_lens:
-            regrouped.append(results[start:start + int(size)])
-            start += int(size)
+        for size in wire["chunk_lens"].tolist():
+            regrouped.append(results[start:start + size])
+            start += size
         return regrouped
 
     def nbytes(wire: Dict[str, Any]) -> int:

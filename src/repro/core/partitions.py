@@ -15,6 +15,8 @@ from typing import List, Sequence
 
 import numpy as np
 
+from ..sim.bitops import position_words
+
 
 class PartitionError(ValueError):
     """Raised on malformed partitions."""
@@ -41,6 +43,18 @@ class Partition:
     @property
     def length(self) -> int:
         return int(self.group_of.size)
+
+    def group_words(self) -> np.ndarray:
+        """``words[g]``: group ``g``'s positions as packed position words
+        (:func:`~repro.sim.bitops.position_words`).  Built on first use and
+        kept, since the fused diagnosis kernel reads it on every launch."""
+        words = self.__dict__.get("_group_words")
+        if words is None:
+            words = position_words(
+                self.group_of == np.arange(self.num_groups)[:, np.newaxis]
+            )
+            object.__setattr__(self, "_group_words", words)
+        return words
 
     def members(self, group: int) -> np.ndarray:
         """Shift positions belonging to ``group`` (sorted)."""

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..bist.scan import ScanConfig
+from ..bist.session import OutcomeViews, SessionOutcome
 from .diagnosis import DiagnosisResult
 from .partitions import Partition
 
@@ -133,13 +134,14 @@ def apply_superposition(
         masks = superposition_prune(
             partitions, tensor, np.stack([r.position_mask for r in members])
         )
-        for i, result, mask, cells in zip(
-            indices, members, masks, _cells_per_mask(grid, masks)
+        group_counts = [part.num_groups for part in partitions]
+        for i, result, signatures, mask, cells in zip(
+            indices, members, tensor, masks, _cells_per_mask(grid, masks)
         ):
             pruned[i] = DiagnosisResult(
                 actual_cells=set(result.actual_cells),
                 candidate_cells=cells,
-                outcomes=list(result.outcomes),
+                outcomes=OutcomeViews(signatures, group_counts),
                 partitions=list(result.partitions),
                 candidate_history=list(result.candidate_history),
                 position_mask=mask,
@@ -165,23 +167,25 @@ def _signature_tensor(
 ) -> np.ndarray:
     """Stack the results' session outcomes into the ``(fault, partition,
     group, channel)`` tensor; groups beyond a partition's count stay 0."""
-    num_parts = len(partitions)
     max_groups = max(part.num_groups for part in partitions)
-    channels = results[0].outcomes[0].num_channels
+    return np.stack([
+        _outcome_tensor(result.outcomes, max_groups) for result in results
+    ])
+
+
+def _outcome_tensor(
+    outcomes: Sequence[SessionOutcome], max_groups: int
+) -> np.ndarray:
+    """One result's ``(partition, group, channel)`` tensor.  The fused
+    kernel's :class:`OutcomeViews` already hold it."""
+    if isinstance(outcomes, OutcomeViews):
+        return outcomes.tensor
     tensor = np.zeros(
-        (len(results), num_parts, max_groups, channels), dtype=np.uint64
+        (len(outcomes), max_groups, outcomes[0].num_channels), dtype=np.uint64
     )
-    # Row (f, p, g) of the tensor for every stacked outcome row.
-    slots = np.concatenate([
-        p * max_groups + np.arange(part.num_groups)
-        for p, part in enumerate(partitions)
-    ])
-    rows = (np.arange(len(results))[:, None] * (num_parts * max_groups)
-            + slots).ravel()
-    tensor.reshape(-1, channels)[rows] = np.concatenate([
-        outcome.signature_matrix
-        for result in results for outcome in result.outcomes
-    ])
+    for p, outcome in enumerate(outcomes):
+        matrix = outcome.signature_matrix
+        tensor[p, : matrix.shape[0]] = matrix
     return tensor
 
 

@@ -31,6 +31,7 @@ from ..bist.session import (
     collect_population_events,
     event_contributions,
 )
+from ..sim.bitops import word_positions
 from ..sim.faultsim import FaultResponse
 from ..telemetry import METRICS, span
 from .partitions import Partition, validate_partition_set
@@ -183,7 +184,11 @@ def _diagnose_vectors_chunk(
     partitions: Sequence[Partition],
     compactor: Optional[LinearCompactor],
 ) -> List[VectorDiagnosisResult]:
-    from .diagnosis_batch import scatter_population_signatures
+    from .diagnosis_batch import (
+        group_membership,
+        scatter_population_signatures,
+        verdict_prefixes,
+    )
 
     num_faults = len(responses)
     num_parts = len(partitions)
@@ -222,34 +227,38 @@ def _diagnose_vectors_chunk(
                 group_stack[:, event_patterns], None, contributions,
             )
 
-        failing = tensor[..., 0] != 0  # [fault, partition, group]
-        prefix = np.empty((num_parts, num_faults, num_patterns), dtype=bool)
-        for p, part in enumerate(partitions):
-            prefix[p] = failing[:, p][:, part.group_of]
-        np.logical_and.accumulate(prefix, axis=0, out=prefix)
-        history = prefix.sum(axis=2)  # [partition, fault]
-
-        cand_fault, cand_pattern = np.nonzero(prefix[-1])
-        cand_bounds = np.searchsorted(cand_fault, np.arange(num_faults + 1))
+        # [fault, partition, 1, group] verdicts over pattern positions.
+        history, final = verdict_prefixes(
+            (tensor != 0).transpose(0, 1, 3, 2),
+            group_membership(partitions),
+        )
+        cand_fault, _, cand_pattern = np.nonzero(
+            word_positions(final, num_patterns)
+        )
+        cand_bounds = np.searchsorted(
+            cand_fault, np.arange(num_faults + 1)
+        ).tolist()
         # Actual failing vectors = the unique (fault, pattern) event pairs.
         pairs = np.unique(
             population.fault_of * np.int64(num_patterns) + event_patterns
         )
         actual_fault, actual_pattern = pairs // num_patterns, pairs % num_patterns
-        actual_bounds = np.searchsorted(actual_fault, np.arange(num_faults + 1))
+        actual_bounds = np.searchsorted(
+            actual_fault, np.arange(num_faults + 1)
+        ).tolist()
+        cand_pattern = cand_pattern.tolist()
+        actual_pattern = actual_pattern.tolist()
+        history_rows = history.T.tolist()
 
     return [
         VectorDiagnosisResult(
-            actual_vectors={
-                int(p)
-                for p in actual_pattern[actual_bounds[f]:actual_bounds[f + 1]]
-            },
-            candidate_vectors={
-                int(p) for p in cand_pattern[cand_bounds[f]:cand_bounds[f + 1]]
-            },
-            candidate_history=[int(h) for h in history[:, f]],
+            actual_vectors=set(actual_pattern[a_lo:a_hi]),
+            candidate_vectors=set(cand_pattern[c_lo:c_hi]),
+            candidate_history=history_rows[f],
         )
-        for f in range(num_faults)
+        for f, (a_lo, a_hi, c_lo, c_hi) in enumerate(zip(
+            actual_bounds, actual_bounds[1:], cand_bounds, cand_bounds[1:],
+        ))
     ]
 
 

@@ -63,17 +63,60 @@ _BYTE_POPCOUNT = np.array(
     [bin(b).count("1") for b in range(256)], dtype=np.uint8
 )
 
-if hasattr(np, "bitwise_count"):  # numpy >= 2
 
-    def popcount(vec: np.ndarray) -> int:
-        """Number of set bits across the whole word vector."""
-        return int(np.bitwise_count(vec).sum())
+def count_bits(packed: np.ndarray, axis=None) -> np.ndarray:
+    """Set bits of an unsigned-integer array, summed along ``axis`` (an int,
+    a tuple of ints or ``None`` for all axes, as in ``np.sum``).
 
-else:
+    Uses ``np.bitwise_count`` where numpy has it (numpy >= 2) and the
+    per-byte table otherwise; both return ``int64`` counts.
+    """
+    if hasattr(np, "bitwise_count"):
+        per_element = np.bitwise_count(packed)
+    else:
+        data = np.ascontiguousarray(packed)
+        as_bytes = data.reshape(-1).view(np.uint8).reshape(
+            data.shape + (data.itemsize,)
+        )
+        per_element = _BYTE_POPCOUNT[as_bytes].sum(axis=-1, dtype=np.int64)
+    return per_element.sum(axis=axis, dtype=np.int64)
 
-    def popcount(vec: np.ndarray) -> int:
-        """Number of set bits across the whole word vector."""
-        return int(_BYTE_POPCOUNT[vec.view(np.uint8)].sum())
+
+def popcount(vec: np.ndarray) -> int:
+    """Number of set bits across the whole word vector."""
+    return int(count_bits(vec))
+
+
+#: Positions per packed position word (:func:`position_words`).
+POSITION_WORD_BITS = 32
+_POSITION_WORD = np.dtype("<u4")
+
+
+def position_words(mask: np.ndarray) -> np.ndarray:
+    """Pack a boolean ``[..., position]`` array into little-endian
+    ``uint32`` words: position ``i`` is bit ``i % 32`` of word ``i // 32``;
+    padding bits are zero."""
+    length = mask.shape[-1]
+    padded = np.zeros(
+        mask.shape[:-1] + (num_position_words(length) * POSITION_WORD_BITS,),
+        dtype=bool,
+    )
+    padded[..., :length] = mask
+    return np.packbits(padded, axis=-1, bitorder="little").view(_POSITION_WORD)
+
+
+def word_positions(words: np.ndarray, length: int) -> np.ndarray:
+    """Inverse of :func:`position_words`: a boolean ``[..., position]``
+    array of ``length`` positions."""
+    return np.unpackbits(
+        np.ascontiguousarray(words, dtype=_POSITION_WORD).view(np.uint8),
+        axis=-1, count=length, bitorder="little",
+    ).view(bool)
+
+
+def num_position_words(length: int) -> int:
+    """Words :func:`position_words` needs for ``length`` positions."""
+    return -(-length // POSITION_WORD_BITS)
 
 
 def any_bit(vec: np.ndarray) -> bool:

@@ -1,4 +1,4 @@
-"""Equivalence tests for the population-fused diagnosis kernel (PR 9).
+"""Equivalence tests for the population-fused diagnosis kernel.
 
 The fused kernel is a pure optimization: for any chunk size, worker
 count, compactor and channel-resolution setting it must return
@@ -11,13 +11,22 @@ import pytest
 
 from repro.bist.misr import LinearCompactor
 from repro.bist.scan import ScanConfig
-from repro.bist.session import collect_error_event_arrays, collect_population_events
+from repro.bist.session import (
+    OutcomeViews,
+    SessionOutcome,
+    collect_error_event_arrays,
+    collect_population_events,
+)
 from repro.core.diagnosis import diagnose, diagnostic_resolution
 from repro.core.diagnosis_batch import (
     DEFAULT_CHUNK,
     diagnose_population,
+    group_membership,
     resolve_diagnosis_chunk,
+    verdict_prefixes,
 )
+from repro.core.partitions import Partition
+from repro.core.superposition import apply_superposition
 from repro.core.two_step import make_partitioner
 from repro.core.vector_diagnosis import (
     diagnose_vectors,
@@ -25,7 +34,7 @@ from repro.core.vector_diagnosis import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_circuit_workload, scheme_partitions
-from repro.sim.bitops import pack_bits
+from repro.sim.bitops import pack_bits, position_words, word_positions
 from repro.sim.faults import Fault
 from repro.sim.faultsim import FaultResponse
 
@@ -65,6 +74,9 @@ def assert_results_identical(oracle, fused):
         assert len(a.outcomes) == len(b.outcomes)
         for oa, ob in zip(a.outcomes, b.outcomes):
             assert oa.signatures == ob.signatures
+            np.testing.assert_array_equal(
+                oa.signature_matrix, ob.signature_matrix
+            )
 
 
 def random_response(rng, num_cells, num_patterns, max_cells=5):
@@ -235,6 +247,153 @@ class TestFusedEquivalence:
             workload.responses, workload.scan_config, partitions, None, workers=0
         )
         assert_results_identical(via_env, fused)
+
+
+#: Three ragged chains of 13/12/11 cells: no length is a multiple of 8 or
+#: 32, so the packed words carry padding and the presence mask matters.
+RAGGED = ScanConfig([range(0, 13), range(13, 25), range(25, 36)])
+
+
+class TestRaggedChains:
+    """Fused vs per-fault diagnosis where chains differ in length."""
+
+    def population(self, rng, count=10):
+        responses = [random_response(rng, RAGGED.num_cells, 40)
+                     for _ in range(count)]
+        responses.append(FaultResponse(Fault("silent", 0), {}, 40))
+        partitions = make_partitioner(
+            "random", RAGGED.max_length, 4
+        ).partitions(5)
+        return responses, partitions
+
+    @pytest.mark.parametrize("channel_resolution", [True, False])
+    @pytest.mark.parametrize("compactor_kind", ["exact", "misr"])
+    def test_matches_per_fault_oracle(self, rng, compactor_kind,
+                                      channel_resolution):
+        responses, partitions = self.population(rng)
+        compactor = make_compactor(
+            compactor_kind, ExperimentConfig(), RAGGED.num_chains
+        )
+        oracle = [
+            diagnose(r, RAGGED, partitions, compactor,
+                     channel_resolution=channel_resolution)
+            for r in responses
+        ]
+        for chunk in (None, 4):
+            fused = diagnose_population(
+                responses, RAGGED, partitions, compactor,
+                channel_resolution=channel_resolution, chunk=chunk, workers=0,
+            )
+            assert_results_identical(oracle, fused)
+        # Absent positions (past a short chain's end) are never candidates.
+        absent = ~RAGGED.presence_mask()
+        assert not any(r.position_mask[absent].any() for r in fused)
+
+    @pytest.mark.parametrize("channel_resolution", [True, False])
+    def test_forked_matches_serial(self, rng, channel_resolution):
+        responses, partitions = self.population(rng)
+        compactor = make_compactor("misr", ExperimentConfig(), RAGGED.num_chains)
+        serial, forked = (
+            diagnose_population(
+                responses, RAGGED, partitions, compactor,
+                channel_resolution=channel_resolution, chunk=3,
+                workers=workers,
+            )
+            for workers in (0, 2)
+        )
+        assert_results_identical(serial, forked)
+        assert all(isinstance(r.outcomes, OutcomeViews) for r in forked)
+
+    @pytest.mark.parametrize("channel_resolution", [True, False])
+    def test_superposition_matches_per_fault(self, rng, channel_resolution):
+        responses, partitions = self.population(rng)
+        compactor = make_compactor("misr", ExperimentConfig(), RAGGED.num_chains)
+        oracle = apply_superposition([
+            diagnose(r, RAGGED, partitions, compactor,
+                     channel_resolution=channel_resolution)
+            for r in responses
+        ], RAGGED)
+        fused = apply_superposition(diagnose_population(
+            responses, RAGGED, partitions, compactor,
+            channel_resolution=channel_resolution, workers=0,
+        ), RAGGED)
+        assert_results_identical(oracle, fused)
+
+
+class TestOutcomeViews:
+    def fused_result(self, rng):
+        responses = [random_response(rng, RAGGED.num_cells, 40)]
+        partitions = make_partitioner(
+            "random", RAGGED.max_length, 4
+        ).partitions(4)
+        compactor = make_compactor("misr", ExperimentConfig(), RAGGED.num_chains)
+        fused = diagnose_population(
+            responses, RAGGED, partitions, compactor, workers=0
+        )[0]
+        oracle = diagnose(responses[0], RAGGED, partitions, compactor)
+        return fused, oracle
+
+    def test_sequence_protocol(self, rng):
+        fused, oracle = self.fused_result(rng)
+        views = fused.outcomes
+        assert isinstance(views, OutcomeViews)
+        assert len(views) == len(oracle.outcomes) == 4
+        matrices = [o.signature_matrix for o in oracle.outcomes]
+        for got, want in zip(views, matrices):  # iteration
+            assert isinstance(got, SessionOutcome)
+            np.testing.assert_array_equal(got.signature_matrix, want)
+        np.testing.assert_array_equal(views[-1].signature_matrix, matrices[-1])
+        np.testing.assert_array_equal(views[-4].signature_matrix, matrices[0])
+        sliced = views[1:3]
+        assert isinstance(sliced, list) and len(sliced) == 2
+        np.testing.assert_array_equal(sliced[0].signature_matrix, matrices[1])
+        assert len(views[::-1]) == 4
+        assert [o.num_groups for o in list(views)] == [4, 4, 4, 4]
+        for index in (4, -5):
+            with pytest.raises(IndexError):
+                views[index]
+
+    def test_read_only(self, rng):
+        fused, _ = self.fused_result(rng)
+        with pytest.raises(TypeError):
+            fused.outcomes[0] = fused.outcomes[1]
+        with pytest.raises(AttributeError):
+            fused.outcomes.append(fused.outcomes[0])
+
+    def test_groups_past_a_partitions_count_are_cut(self):
+        tensor = np.arange(2 * 3 * 2, dtype=np.uint64).reshape(2, 3, 2)
+        views = OutcomeViews(tensor, [3, 1])
+        assert views[0].signature_matrix.shape == (3, 2)
+        assert views[1].signatures == [[6, 7]]
+
+
+class TestVerdictPrefixes:
+    """The packed intersection against a dense boolean reference."""
+
+    @pytest.mark.parametrize("length", [1, 13, 32, 33, 70])
+    def test_matches_dense_intersection(self, rng, length):
+        num_groups = (3, 5, 2, 4)
+        partitions = [
+            Partition(rng.integers(0, g, length), g) for g in num_groups
+        ]
+        failing = rng.random((6, len(partitions), 2, max(num_groups))) < 0.5
+        presence = rng.random((2, length)) < 0.8
+        history, final = verdict_prefixes(
+            failing, group_membership(partitions),
+            position_words(presence),
+        )
+        mask = np.broadcast_to(presence, (6, 2, length)).copy()
+        for p, part in enumerate(partitions):
+            mask &= failing[:, p][..., part.group_of]
+            np.testing.assert_array_equal(history[p], mask.sum(axis=(1, 2)))
+        np.testing.assert_array_equal(word_positions(final, length), mask)
+
+    @pytest.mark.parametrize("length", [1, 31, 32, 64, 100])
+    def test_word_round_trip(self, rng, length):
+        mask = rng.random((3, length)) < 0.5
+        words = position_words(mask)
+        assert words.shape == (3, -(-length // 32))
+        np.testing.assert_array_equal(word_positions(words, length), mask)
 
 
 class TestFusedVectorDiagnosis:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.sim.bitops import (
     WORD_BITS,
     any_bit,
+    count_bits,
     get_bit,
     num_words,
     pack_bits,
@@ -85,6 +86,45 @@ def test_popcount_matches_sum(bits):
 def test_get_bit(bits, data):
     idx = data.draw(st.integers(0, len(bits) - 1))
     assert get_bit(pack_bits(bits), idx) == bits[idx]
+
+
+@pytest.fixture(params=["native", "byte-table"])
+def popcount_branch(request, monkeypatch):
+    """Run a test under numpy's ``bitwise_count`` (where it exists) and
+    under the per-byte table fallback numpy 1.x takes."""
+    if request.param == "native":
+        if not hasattr(np, "bitwise_count"):
+            pytest.skip("numpy has no bitwise_count")
+    else:
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+    return request.param
+
+
+class TestCountBits:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+    @pytest.mark.parametrize("axis", [None, 0, -1, (1, 2), (0, 2)])
+    def test_matches_unpacked_sum(self, popcount_branch, rng, dtype, axis):
+        packed = rng.integers(
+            0, np.iinfo(dtype).max, size=(3, 4, 5), dtype=dtype, endpoint=True
+        )
+        bits = np.unpackbits(packed[..., np.newaxis].view(np.uint8), axis=-1)
+        expected = bits.reshape(packed.shape + (-1,)).sum(axis=-1).sum(axis=axis)
+        counted = count_bits(packed, axis=axis)
+        assert counted.dtype == np.int64
+        np.testing.assert_array_equal(counted, expected)
+
+    def test_non_contiguous_input(self, popcount_branch, rng):
+        packed = rng.integers(0, 256, size=(6, 8), dtype=np.uint8).T[::2]
+        expected = np.unpackbits(packed[..., np.newaxis], axis=-1).sum(axis=(1, 2))
+        np.testing.assert_array_equal(count_bits(packed, axis=1), expected)
+
+    def test_empty_axis_counts_zero(self, popcount_branch):
+        packed = np.zeros((2, 0), dtype=np.uint32)
+        np.testing.assert_array_equal(count_bits(packed, axis=1), [0, 0])
+
+    def test_popcount_uses_it(self, popcount_branch):
+        assert popcount(pattern_mask(100)) == 100
+        assert popcount(np.zeros(2, dtype=np.uint64)) == 0
 
 
 class TestAnyBit:
