@@ -31,7 +31,7 @@ def main():
     print()
 
     partition = TwoStepPartitioner(core.num_cells, NUM_GROUPS).next_partition()
-    captured = good_captured_matrix(core._good)  # the fault-free responses
+    captured = good_captured_matrix(core.good)  # the fault-free responses
     sessions = run_tester_partition(
         captured, response, scan, partition.group_of, NUM_GROUPS, MISR_WIDTH
     )

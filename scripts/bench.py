@@ -222,7 +222,7 @@ def bench_circuit(name, config, num_partitions, repeats=3, fault_cap=400):
     core = EmbeddedCore(_netlist(name, config), num_patterns=config.num_patterns)
     faults = collapse_faults(core.netlist)
     sample = faults[: min(len(faults), fault_cap)]
-    sim = FaultSimulator(core.compiled, core._good)
+    sim = FaultSimulator(core.compiled, core.good)
 
     # Good-machine simulation: the level-group SoA kernel vs the per-gate
     # loop, same pattern matrices the core simulated at construction.

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 #: Maximal-length (primitive polynomial) tap positions for Fibonacci LFSRs,
 #: one entry per degree; taps are 1-indexed exponents (XAPP052 table).
 PRIMITIVE_TAPS: Dict[int, Tuple[int, ...]] = {
@@ -100,7 +102,22 @@ class LFSR:
 
     def step_many(self, count: int) -> List[int]:
         """Advance ``count`` clocks, returning the output bit stream."""
-        return [self.step() for _ in range(count)]
+        return self.output_bits(count).tolist()
+
+    def output_bits(self, count: int) -> np.ndarray:
+        """Advance ``count`` clocks, returning the output bits as uint8.
+
+        The same bits as ``count`` calls of :meth:`step`, from one tight
+        integer loop.  The register shifts right, so stage ``p`` after
+        ``t`` clocks holds output bit ``t + p``: any run of stage values
+        can be read off this stream (see :func:`stage_labels`)."""
+        bits = bytearray(count)
+        state, taps, top = self.state, self._tap_mask, self.degree - 1
+        for i in range(count):
+            bits[i] = state & 1
+            state = (state >> 1) | (((state & taps).bit_count() & 1) << top)
+        self.state = state
+        return np.frombuffer(bits, dtype=np.uint8)
 
     def peek_bits(self, count: int) -> int:
         """The low ``count`` bits of the current state (the value the
@@ -143,7 +160,27 @@ class LFSR:
 
 
 def _parity(value: int) -> int:
-    return bin(value).count("1") & 1
+    return value.bit_count() & 1
+
+
+def stage_labels(lfsr: LFSR, positions: Sequence[int], count: int) -> np.ndarray:
+    """Labels read from register stages ``positions`` before each of the
+    next ``count`` clocks, advancing the LFSR by ``count``.
+
+    Equals ``count`` rounds of ``peek_stages(positions)`` then ``step()``.
+    Stage ``p`` before clock ``t`` is output bit ``t + p``, so label ``t``
+    is ``sum(stream[t + pos_j] << j)``; the bits past the last clock are
+    the register's final state, read without stepping."""
+    for pos in positions:
+        if not 0 <= pos < lfsr.degree:
+            raise ValueError(f"stage position {pos} out of range")
+    head = lfsr.output_bits(count)
+    tail = (lfsr.state >> np.arange(lfsr.degree, dtype=np.int64)) & 1
+    stream = np.concatenate([head, tail.astype(np.uint8)])
+    labels = np.zeros(count, dtype=np.int32)
+    for j, pos in enumerate(positions):
+        labels |= stream[pos:pos + count].astype(np.int32) << j
+    return labels
 
 
 class IVR:

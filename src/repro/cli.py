@@ -49,6 +49,7 @@ from .core.diagnosis import diagnose, diagnostic_resolution
 from .core.superposition import apply_superposition
 from .core.two_step import make_partitioner
 from .experiments import (
+    cache,
     default_config,
     run_aliasing_ablation,
     run_binary_search_ablation,
@@ -239,6 +240,7 @@ def _export_run_telemetry(
     extra: Dict[str, Any] = {"trace_file": str(trace_path)}
     if profile_path is not None:
         extra["profile_file"] = str(profile_path)
+    cache.total_bytes()  # sizes the memo store into the cache.bytes gauge
     manifest = telemetry.build_manifest(
         config=config,
         seed=getattr(config, "fault_seed", None),

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..bist.lfsr import LFSR
+from ..bist.lfsr import LFSR, stage_labels
 from .partitions import Partition, PartitionError
 
 
@@ -49,12 +49,8 @@ def draw_interval_lengths(
     as the maximum length ``2**length_bits``.
     """
     positions = lfsr.spread_stage_positions(length_bits)
-    lengths = []
-    for _ in range(num_groups):
-        value = lfsr.peek_stages(positions)
-        lengths.append(value if value else 1 << length_bits)
-        lfsr.step()
-    return lengths
+    fields = stage_labels(lfsr, positions, num_groups)
+    return [value or 1 << length_bits for value in fields.tolist()]
 
 
 def lengths_cover(lengths: Sequence[int], chain_length: int) -> bool:

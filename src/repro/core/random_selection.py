@@ -5,15 +5,17 @@ the selection LFSR as it steps once per shift cycle; ``b = 2**r`` groups.
 Session ``g`` selects the cells whose label equals the content of Test
 Counter 1.  At the end of a partition the IVR is updated with the current
 LFSR state, so the next partition draws an unrelated labelling.
+
+A partition's labels come from one read of the LFSR's output stream
+(:func:`repro.bist.lfsr.stage_labels`); the cycle-level hardware model in
+:mod:`repro.core.selection_hw` steps the same LFSR shift by shift.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
-from ..bist.lfsr import IVR, LFSR
+from ..bist.lfsr import IVR, LFSR, stage_labels
 from .partitions import Partition, PartitionError
 
 
@@ -51,10 +53,7 @@ class RandomSelectionPartitioner:
     def next_partition(self) -> Partition:
         """Labels for one partition; advances the IVR for the next."""
         self.ivr.reload(self.lfsr)
-        group_of = np.empty(self.length, dtype=np.int32)
-        for position in range(self.length):
-            group_of[position] = self.lfsr.peek_stages(self._stage_positions)
-            self.lfsr.step()
+        group_of = stage_labels(self.lfsr, self._stage_positions, self.length)
         self.ivr.update_from(self.lfsr)
         return Partition(group_of, self.num_groups, scheme="random-selection")
 

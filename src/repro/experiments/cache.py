@@ -12,8 +12,9 @@ the lifetime of the process without changing a single number.
 Keys must capture *every* input that influences the value:
 
 * workloads: ``(circuit, scale, num_patterns, fault_seed, fault_count)``
-* SOC workloads: the SOC fingerprint (name, per-core shapes, the exact
-  meta-chain stitching) plus the fault seed and per-core fault counts
+* SOC workloads: the SOC fingerprint (name, per-core shapes and pattern
+  seeds, the exact meta-chain stitching) plus the fault seed and per-core
+  fault counts
 * partition sets: the full partitioner signature ``(scheme, length,
   num_groups, num_partitions, lfsr_degree, seed,
   num_interval_partitions)``
@@ -29,7 +30,9 @@ for them the counter stays 0.  Hits and misses are also reported per kind
 into :data:`repro.telemetry.METRICS` as ``cache.hits{kind=...}`` /
 ``cache.misses{kind=...}``, and the resident footprint as the
 ``cache.bytes`` gauge (estimated recursively: numpy buffers dominate, so
-the estimate is accurate where it matters).
+the estimate is accurate where it matters).  An entry is sized the first
+time the footprint is read (:func:`total_bytes`, ``stats().bytes``), not
+when it is stored, so batch runs that never read it never pay for it.
 
 Below the in-memory store sits an optional **disk tier**
 (:mod:`repro.experiments.cache_disk`, enabled by pointing
@@ -56,7 +59,8 @@ from . import cache_disk
 
 _LOCK = threading.RLock()
 _STORE: Dict[Tuple[str, Hashable], Any] = {}
-#: Estimated resident bytes per entry (same keys as ``_STORE``).
+#: Estimated resident bytes per live entry, filled in the first time the
+#: footprint is read (keys are a subset of ``_STORE``'s).
 _SIZES: Dict[Tuple[str, Hashable], int] = {}
 _EVICTIONS = 0
 
@@ -71,11 +75,24 @@ class CacheStats:
     entries: int = 0
     #: Entries dropped via :func:`evict` (0 unless a caller bounds memory).
     evictions: int = 0
-    #: Estimated resident bytes of all live entries.
-    bytes: int = 0
     #: Disk-tier counters (hits/misses/errors/bytes_read/bytes_written);
     #: all zero when ``REPRO_DISK_CACHE`` is unset.
     disk: Dict[str, int] = field(default_factory=dict)
+    #: The ``(key, value)`` entries live at snapshot time, sized by
+    #: :attr:`bytes`.
+    live: Tuple[Tuple[Tuple[str, Hashable], Any], ...] = field(
+        default=(), repr=False
+    )
+
+    @property
+    def bytes(self) -> int:
+        """Estimated resident bytes of the snapshot's entries.  Sizing
+        happens here, on read, so callers that only want the counters
+        never pay for it."""
+        with _LOCK:
+            size = sum(_entry_bytes(key, value) for key, value in self.live)
+        total_bytes()  # refreshes the cache.bytes gauge
+        return size
 
     def record(self, kind: str, hit: bool) -> None:
         table = self.hits if hit else self.misses
@@ -133,10 +150,7 @@ def memoized(kind: str, key: Hashable, builder: Callable[[], Any]) -> Any:
     with _LOCK:
         _record(kind, hit=False)
         value = _STORE.setdefault(full_key, value)
-        if full_key not in _SIZES:
-            _SIZES[full_key] = estimate_bytes(value)
         METRICS.gauge("cache.entries", len(_STORE))
-        METRICS.gauge("cache.bytes", sum(_SIZES.values()))
     if not from_disk and cache_disk.enabled_for(kind):
         # Persist outside the lock; best-effort by contract.
         cache_disk.store(kind, key, value)
@@ -151,9 +165,7 @@ def seed(kind: str, key: Hashable, value: Any) -> bool:
         if full_key in _STORE:
             return False
         _STORE[full_key] = value
-        _SIZES[full_key] = estimate_bytes(value)
         METRICS.gauge("cache.entries", len(_STORE))
-        METRICS.gauge("cache.bytes", sum(_SIZES.values()))
         return True
 
 
@@ -211,7 +223,6 @@ def evict(kind: str, key: Hashable) -> bool:
         _EVICTIONS += 1
         METRICS.incr("cache.evictions", 1, labels={"kind": kind})
         METRICS.gauge("cache.entries", len(_STORE))
-        METRICS.gauge("cache.bytes", sum(_SIZES.values()))
         return True
 
 
@@ -236,15 +247,30 @@ def stats() -> CacheStats:
             misses=dict(_STATS.misses),
             entries=len(_STORE),
             evictions=_EVICTIONS,
-            bytes=sum(_SIZES.values()),
             disk=cache_disk.stats(),
+            live=tuple(_STORE.items()),
         )
 
 
 def total_bytes() -> int:
-    """Estimated resident bytes of the whole store."""
+    """Estimated resident bytes of the whole store (also refreshes the
+    ``cache.bytes`` gauge)."""
     with _LOCK:
-        return sum(_SIZES.values())
+        total = sum(_entry_bytes(key, value) for key, value in _STORE.items())
+        METRICS.gauge("cache.bytes", total)
+        return total
+
+
+def _entry_bytes(full_key: Tuple[str, Hashable], value: Any) -> int:
+    """One entry's estimated size; a live entry is sized once and
+    remembered.  Callers hold ``_LOCK``."""
+    live = _STORE.get(full_key) is value
+    size = _SIZES.get(full_key) if live else None
+    if size is None:
+        size = estimate_bytes(value)
+        if live:
+            _SIZES[full_key] = size
+    return size
 
 
 def estimate_bytes(value: Any, _seen: Any = None, _depth: int = 0) -> int:
@@ -293,13 +319,14 @@ cache_stats = stats
 
 
 def soc_fingerprint(soc) -> Hashable:
-    """A hashable identity for a stitched SOC: which cores, their shapes,
-    and the exact cell-to-meta-chain stitching (the lifted responses depend
-    on all of it)."""
+    """A hashable identity for a stitched SOC: which cores, their shapes
+    and pattern seeds, and the exact cell-to-meta-chain stitching (the
+    lifted responses depend on all of it)."""
     return (
         soc.name,
         tuple(
-            (core.name, core.num_cells, core.num_patterns) for core in soc.cores
+            (core.name, core.num_cells, core.num_patterns, core.pattern_seed)
+            for core in soc.cores
         ),
         tuple(tuple(chain) for chain in soc.scan_config.chains),
     )

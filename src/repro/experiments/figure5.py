@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..bist.misr import LinearCompactor
 from ..core.diagnosis import partitions_to_reach_dr
 from ..core.diagnosis_batch import diagnose_population
 from ..soc.stitch import build_stitched_soc
@@ -20,7 +19,7 @@ from ..soc.testrail import TestRail
 from ..telemetry import METRICS, span
 from .config import ExperimentConfig, default_config
 from .reporting import render_table
-from .runner import build_soc_workloads, scheme_partitions
+from .runner import build_soc_workloads, scheme_partitions, shared_compactor
 from .soc_tables import SOC1_GROUPS
 
 TARGET_DR = 0.5
@@ -62,7 +61,7 @@ def run_figure5(
         num_patterns=config.num_patterns, scale=config.scale
     )
     workloads = build_soc_workloads(soc, config)
-    compactor = LinearCompactor(config.misr_width, soc.scan_config.num_chains)
+    compactor = shared_compactor(config.misr_width, soc.scan_config.num_chains)
     needed: Dict[str, Dict[str, Optional[int]]] = {}
     for core in soc.cores:
         workload = workloads[core.name]

@@ -16,13 +16,14 @@ import numpy as np
 
 from ..bist.misr import LinearCompactor
 from ..bist.scan import ScanConfig
+from ..circuit.library import cached_circuit
 from ..core.diagnosis import DiagnosisResult, diagnostic_resolution
 from ..core.diagnosis_batch import diagnose_population
 from ..core.partitions import Partition
 from ..core.superposition import apply_superposition
 from ..core.two_step import make_partitioner
 from ..sim.faultsim import FaultResponse
-from ..soc.core_wrapper import EmbeddedCore
+from ..soc.core_wrapper import DEFAULT_PATTERN_SEED, EmbeddedCore
 from ..soc.testrail import TestRail
 from ..telemetry import METRICS, debug, span
 from . import cache
@@ -119,13 +120,8 @@ def _build_soc_workloads(
     workloads: Dict[str, Workload] = {}
     for core_index, core in enumerate(soc.cores):
         debug(f"building SOC workload: {soc.name}/{core.name}")
-        rng = np.random.default_rng(config.fault_seed ^ hash_name(core.name))
         with span("workload.build", soc=soc.name, core=core.name):
-            with span("fault.sample", circuit=core.name) as sp:
-                local = core.sample_fault_responses(
-                    config.faults_for(core.name), rng
-                )
-                sp.add("responses", len(local))
+            local = _core_fault_sample(core, config)
             with span("soc.lift", core=core.name):
                 lifted = [soc.lift_response(core_index, r) for r in local]
         workloads[core.name] = Workload(
@@ -135,6 +131,30 @@ def _build_soc_workloads(
             num_patterns=core.num_patterns,
         )
     return workloads
+
+
+def _core_fault_sample(
+    core: EmbeddedCore, config: ExperimentConfig
+) -> List[FaultResponse]:
+    """A core's sampled fault responses in local cell coordinates.
+
+    A core built from the library circuit with the config's pattern set is
+    the circuit workload's core: same netlist object, same golden patterns,
+    same RNG seed and fault count.  Its sample is then the circuit
+    workload's responses, taken from the memo store instead of simulated
+    again.  Any other core samples on itself.
+    """
+    if (
+        core.netlist is cached_circuit(core.name, scale=config.scale)
+        and core.num_patterns == config.num_patterns
+        and core.pattern_seed == DEFAULT_PATTERN_SEED
+    ):
+        return build_circuit_workload(core.name, config).responses
+    rng = np.random.default_rng(config.fault_seed ^ hash_name(core.name))
+    with span("fault.sample", circuit=core.name) as sp:
+        local = core.sample_fault_responses(config.faults_for(core.name), rng)
+        sp.add("responses", len(local))
+    return local
 
 
 def scheme_partitions(
@@ -169,6 +189,16 @@ def scheme_partitions(
             ).partitions(num_partitions)
 
     return list(cache.memoized("partitions", key, build))
+
+
+def shared_compactor(width: int, num_chains: int) -> LinearCompactor:
+    """The memoized compactor for ``(width, num_chains)``.  Compactors are
+    pure functions of those two; sharing one instance shares its
+    impulse-response tables across schemes and experiments."""
+    return cache.memoized(
+        "compactor", (width, num_chains),
+        lambda: LinearCompactor(width, num_chains),
+    )
 
 
 @dataclass
@@ -212,11 +242,8 @@ def evaluate_scheme(
         num_interval_partitions=num_interval_partitions,
     )
     if compactor is None:
-        # Compactors are pure functions of (width, channel count); sharing
-        # one instance shares its impulse-response tables across schemes.
-        width, chains = config.misr_width, workload.scan_config.num_chains
-        compactor = cache.memoized(
-            "compactor", (width, chains), lambda: LinearCompactor(width, chains)
+        compactor = shared_compactor(
+            config.misr_width, workload.scan_config.num_chains
         )
     responses = workload.responses
     with span("diagnose", scheme=scheme, workload=workload.name) as sp:

@@ -45,6 +45,7 @@ from ..experiments.runner import (
     build_circuit_workload,
     circuit_workload_key,
     scheme_partitions,
+    shared_compactor,
 )
 from ..sim.bitops import num_words
 from ..sim.faults import Fault
@@ -127,9 +128,8 @@ class DiagnosisEngine:
             request.num_partitions,
             lfsr_degree=config.lfsr_degree,
         )
-        width, chains = request.misr_width, workload.scan_config.num_chains
-        compactor = cache.memoized(
-            "compactor", (width, chains), lambda: LinearCompactor(width, chains)
+        compactor = shared_compactor(
+            request.misr_width, workload.scan_config.num_chains
         )
         cache_key = circuit_workload_key(
             request.circuit, config, request.num_patterns

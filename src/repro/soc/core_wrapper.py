@@ -10,16 +10,20 @@ the meta chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import cached_property
+from typing import List, Optional
 
 import numpy as np
 
 from ..bist.patterns import fast_pattern_matrices
 from ..circuit.netlist import Netlist
-from ..sim.faults import Fault, collapse_faults, sample_faults
+from ..sim.faults import Fault, collapse_faults
 from ..sim.faultsim import FaultResponse, FaultSimulator
-from ..sim.logicsim import CompiledCircuit
+from ..sim.logicsim import CompiledCircuit, SimResult
+
+#: Pattern seed every SOC builder uses unless told otherwise; the core's
+#: own stream is seeded with it XOR a hash of the core's name.
+DEFAULT_PATTERN_SEED = 0xACE1
 
 #: Smallest fault slab worth handing to ``simulate_faults`` while sampling
 #: for detected faults — keeps the batched kernel fed near the tail.
@@ -34,35 +38,43 @@ class EmbeddedCore:
     values any core receives are statistically independent pseudo-random
     bits; modelling them as a per-core seeded stream is equivalent and lets
     the cores simulate independently.
+
+    Construction is cheap: the compiled circuit, the fault-free (golden)
+    simulation and the fault simulator are each built on first use, so a
+    core that is only stitched onto a TestRail never compiles.
     """
 
     def __init__(
         self,
         netlist: Netlist,
         num_patterns: int = 128,
-        pattern_seed: int = 0xACE1,
+        pattern_seed: int = DEFAULT_PATTERN_SEED,
     ):
         self.netlist = netlist
         self.name = netlist.name
-        self.compiled = CompiledCircuit(netlist)
         self.num_patterns = num_patterns
-        pi_values, ff_values = fast_pattern_matrices(
-            self.compiled.num_inputs,
-            self.compiled.num_scan_cells,
-            num_patterns,
-            seed=pattern_seed ^ _name_seed(netlist.name),
-        )
-        self._good = self.compiled.simulate(pi_values, ff_values, num_patterns)
-        self._fault_simulator = FaultSimulator(self.compiled, self._good)
+        self.pattern_seed = pattern_seed
+        self.num_cells = netlist.num_flip_flops
         self._collapsed: Optional[List[Fault]] = None
 
-    @property
-    def num_cells(self) -> int:
-        return self.compiled.num_scan_cells
+    @cached_property
+    def compiled(self) -> CompiledCircuit:
+        return CompiledCircuit(self.netlist)
 
-    @property
+    @cached_property
+    def good(self) -> SimResult:
+        """The golden simulation of the core's pattern set."""
+        pi_values, ff_values = fast_pattern_matrices(
+            self.compiled.num_inputs,
+            self.num_cells,
+            self.num_patterns,
+            seed=self.pattern_seed ^ _name_seed(self.name),
+        )
+        return self.compiled.simulate(pi_values, ff_values, self.num_patterns)
+
+    @cached_property
     def fault_simulator(self) -> FaultSimulator:
-        return self._fault_simulator
+        return FaultSimulator(self.compiled, self.good)
 
     def collapsed_faults(self) -> List[Fault]:
         if self._collapsed is None:
@@ -81,6 +93,10 @@ class EmbeddedCore:
         list is exhausted — mirroring the paper's "inject 500 single
         stuck-at faults" protocol, where undetected faults contribute
         nothing to DR."""
+        # Compile and simulate the golden run before collapsing: the
+        # compile's temporaries are then freed before the fault universe
+        # is built, which keeps the peak resident set down.
+        simulator = self.fault_simulator
         universe = list(self.collapsed_faults())
         rng.shuffle(universe)
         responses: List[FaultResponse] = []
@@ -95,7 +111,7 @@ class EmbeddedCore:
             need = count - len(responses)
             slab = universe[pos:pos + max(need, _SAMPLE_SLAB_MIN)]
             pos += len(slab)
-            for response in self._fault_simulator.simulate_faults(slab):
+            for response in simulator.simulate_faults(slab):
                 if detected_only and not response.detected:
                     continue
                 responses.append(response)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..circuit.library import D695_MODULES, get_circuit
-from .core_wrapper import EmbeddedCore
+from .core_wrapper import DEFAULT_PATTERN_SEED, EmbeddedCore
 from .testrail import TestRail
 
 DEFAULT_TAM_WIDTH = 8
@@ -22,7 +22,7 @@ def build_d695_soc(
     module_names: Optional[Sequence[str]] = None,
     tam_width: int = DEFAULT_TAM_WIDTH,
     num_patterns: int = 128,
-    pattern_seed: int = 0xACE1,
+    pattern_seed: int = DEFAULT_PATTERN_SEED,
     scale: Optional[float] = None,
 ) -> TestRail:
     """The d695-variant SOC with ``tam_width`` balanced meta scan chains."""

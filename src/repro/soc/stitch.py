@@ -6,14 +6,14 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..circuit.library import SIX_LARGEST, get_circuit
-from .core_wrapper import EmbeddedCore
+from .core_wrapper import DEFAULT_PATTERN_SEED, EmbeddedCore
 from .testrail import TestRail
 
 
 def build_stitched_soc(
     module_names: Optional[Sequence[str]] = None,
     num_patterns: int = 128,
-    pattern_seed: int = 0xACE1,
+    pattern_seed: int = DEFAULT_PATTERN_SEED,
     scale: Optional[float] = None,
 ) -> TestRail:
     """The first SOC: one meta scan chain threaded through all cores.

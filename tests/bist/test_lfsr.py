@@ -1,10 +1,11 @@
 """Tests for the LFSR / IVR, including maximal-period checks."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bist.lfsr import IVR, LFSR, PRIMITIVE_TAPS
+from repro.bist.lfsr import IVR, LFSR, PRIMITIVE_TAPS, stage_labels
 
 
 class TestPeriod:
@@ -68,6 +69,51 @@ class TestOutput:
         lfsr = LFSR(10, seed=1)
         ones = sum(lfsr.step_many((1 << 10) - 1))
         assert ones == 1 << 9  # m-sequence has 2^(n-1) ones
+
+
+class TestOutputBits:
+    @pytest.mark.parametrize("degree", sorted(PRIMITIVE_TAPS))
+    def test_matches_stepping(self, degree):
+        a = LFSR(degree, seed=0x5EED)
+        b = LFSR(degree, seed=0x5EED)
+        bits = a.output_bits(3 * degree + 7)
+        assert bits.dtype == np.uint8
+        assert bits.tolist() == [b.step() for _ in range(3 * degree + 7)]
+        assert a.state == b.state
+
+    def test_zero_count(self):
+        lfsr = LFSR(8, seed=9)
+        assert lfsr.output_bits(0).size == 0
+        assert lfsr.state == 9
+
+    @pytest.mark.parametrize("degree", [3, 8, 16, 32])
+    def test_stage_p_at_shift_t_is_output_bit_t_plus_p(self, degree):
+        lfsr = LFSR(degree, seed=0xB77)
+        stream = lfsr.copy().output_bits(40 + degree)
+        for t in range(40):
+            for p in range(degree):
+                assert (lfsr.state >> p) & 1 == stream[t + p]
+            lfsr.step()
+
+
+class TestStageLabels:
+    @pytest.mark.parametrize("degree", [3, 5, 16, 32])
+    def test_matches_peek_then_step(self, degree):
+        positions = [degree - 1, 0, degree // 2]
+        fast, slow = LFSR(degree, seed=0x1D), LFSR(degree, seed=0x1D)
+        labels = stage_labels(fast, positions, 2 * degree + 3)
+        expected = []
+        for _ in range(2 * degree + 3):
+            expected.append(slow.peek_stages(positions))
+            slow.step()
+        assert labels.tolist() == expected
+        assert fast.state == slow.state
+
+    def test_bad_position(self):
+        lfsr = LFSR(8, seed=1)
+        with pytest.raises(ValueError):
+            stage_labels(lfsr, [8], 4)
+        assert lfsr.state == 1
 
 
 class TestPeek:

@@ -21,6 +21,22 @@ from repro.core.partitions import PartitionError
 from repro.core.random_selection import RandomSelectionPartitioner
 from repro.core.two_step import TwoStepPartitioner, make_partitioner
 
+from .partition_reference import (
+    stepped_interval_lengths,
+    stepped_random_partitions,
+)
+
+DEGREES = list(range(3, 33))
+
+
+def _stream_lengths(degree):
+    """1, 2, and the two lengths either side of the LFSR period; above
+    degree 12 the period is too long to walk, so a multi-word stretch
+    stands in."""
+    if degree <= 12:
+        return [1, 2, (1 << degree) - 2, 1 << degree]
+    return [1, 2, 3 * degree + 1, 4096]
+
 
 class TestRandomSelection:
     def test_partition_covers_chain(self):
@@ -55,6 +71,42 @@ class TestRandomSelection:
     def test_scheme_tag(self):
         part = RandomSelectionPartitioner(10, 2).next_partition()
         assert part.scheme == "random-selection"
+
+
+class TestStreamReadMatchesStepping:
+    """The stream-read partitioners equal the shift-by-shift reference."""
+
+    @pytest.mark.parametrize("degree", DEGREES)
+    def test_random_selection_labels(self, degree):
+        num_groups = 1 << min(degree, 4)
+        for length in _stream_lengths(degree):
+            part = RandomSelectionPartitioner(
+                length, num_groups, lfsr_degree=degree
+            ).next_partition()
+            (expected,) = stepped_random_partitions(
+                length, num_groups, 1, lfsr_degree=degree
+            )
+            assert part.group_of.tolist() == expected, length
+
+    @pytest.mark.parametrize("degree", DEGREES)
+    def test_interval_lengths(self, degree):
+        bits = min(degree, 6)
+        for count in _stream_lengths(degree):
+            fast, slow = LFSR(degree, 0x2C9), LFSR(degree, 0x2C9)
+            lengths = draw_interval_lengths(fast, count, bits)
+            assert lengths == stepped_interval_lengths(slow, count, bits)
+            assert fast.state == slow.state
+
+    @pytest.mark.parametrize("degree", [3, 7, 16, 32])
+    def test_ivr_continuity_across_partitions(self, degree):
+        length = 2 * degree + 5
+        gen = RandomSelectionPartitioner(length, 2, lfsr_degree=degree)
+        parts = gen.partitions(16)
+        expected = stepped_random_partitions(length, 2, 16, lfsr_degree=degree)
+        assert [p.group_of.tolist() for p in parts] == expected
+        reference = LFSR(degree, 0x5EED)
+        reference.step_many(16 * length)
+        assert gen.ivr.value == reference.state
 
 
 class TestIntervalLengths:

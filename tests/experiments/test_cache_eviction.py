@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import cache
+from repro.telemetry import METRICS
 
 
 @pytest.fixture(autouse=True)
@@ -67,3 +68,44 @@ class TestEviction:
         cache.clear()
         assert cache.stats().evictions == 0
         assert cache.stats().bytes == 0
+
+
+class TestSizedOnRead:
+    @pytest.fixture
+    def sized(self, monkeypatch):
+        calls = []
+        real = cache.estimate_bytes
+
+        def counting(value, *args):
+            if not args:
+                calls.append(value)
+            return real(value, *args)
+
+        monkeypatch.setattr(cache, "estimate_bytes", counting)
+        return calls
+
+    def test_storing_and_counting_never_size(self, sized):
+        cache.memoized("unit-test", "a", lambda: np.zeros(100, np.uint64))
+        cache.seed("unit-test", "b", np.zeros(50, np.uint64))
+        assert cache.stats().misses == {"unit-test": 1}
+        assert sized == []
+
+    def test_each_entry_sized_once(self, sized):
+        cache.memoized("unit-test", "a", lambda: np.zeros(100, np.uint64))
+        cache.memoized("unit-test", "b", lambda: np.zeros(50, np.uint64))
+        total = cache.total_bytes()
+        assert len(sized) == 2
+        assert cache.stats().bytes == total == cache.total_bytes()
+        assert len(sized) == 2
+        assert METRICS.snapshot()["gauges"]["cache.bytes"] == total
+
+    def test_stats_bytes_is_a_snapshot(self):
+        cache.memoized("unit-test", "a", lambda: np.zeros(100, np.uint64))
+        before = cache.stats()
+        cache.memoized("unit-test", "b", lambda: np.zeros(100, np.uint64))
+        after = cache.stats()
+        assert after.bytes > before.bytes
+        assert cache.total_bytes() == after.bytes
+        # Reading the older snapshot keeps the gauge on the live store.
+        assert before.bytes < after.bytes
+        assert METRICS.snapshot()["gauges"]["cache.bytes"] == after.bytes
