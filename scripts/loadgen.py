@@ -13,10 +13,14 @@ a fixed request count to a fixed wall-clock window.
 
 ``--spawn`` makes the run self-contained: start a server subprocess, wait
 for ``/healthz``, apply the load, validate ``/metrics`` (well-formed JSON
-with queue/batching/latency sections), then SIGTERM it and record whether
-it drained and exited cleanly — exactly the sequence the CI smoke job
-runs.  ``--workers N`` spawns the prefork cluster instead of a single
-process, and ``--kill-one-at F`` injects chaos: at fraction F of the run
+with queue/batching/latency sections, and a Prometheus scrape whose
+``repro_service_request_seconds`` family is a well-formed histogram per
+stage), then SIGTERM it and record whether it drained and exited cleanly
+— exactly the sequence the CI smoke job runs.  On a cluster the fleet
+counters are heartbeat-fed, so the check polls the control port until
+they cover every ok reply loadgen saw (up to 3 heartbeat intervals).
+``--workers N`` spawns the prefork cluster instead of a single process,
+and ``--kill-one-at F`` injects chaos: at fraction F of the run
 one worker is ``kill -9``'d and the report records whether the supervisor
 respawned it (requests ride out the kill via transport retries).
 ``--verify`` additionally checks determinism: every reply for a given
@@ -32,9 +36,11 @@ Run:  PYTHONPATH=src python scripts/loadgen.py --requests 200
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import os
 import platform
+import re
 import signal
 import socket
 import subprocess
@@ -43,7 +49,7 @@ import threading
 import time
 from pathlib import Path
 from queue import Empty, Queue
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -138,8 +144,6 @@ def spawn_server(args: argparse.Namespace) -> subprocess.Popen:
 
 def control_get(args: argparse.Namespace, path: str) -> Dict[str, Any]:
     """GET a JSON payload from the cluster supervisor's control port."""
-    import http.client
-
     conn = http.client.HTTPConnection(args.host, args.control_port, timeout=10)
     try:
         conn.request("GET", path)
@@ -149,12 +153,9 @@ def control_get(args: argparse.Namespace, path: str) -> Dict[str, Any]:
         conn.close()
 
 
-def control_get_text(args: argparse.Namespace, path: str) -> str:
-    """GET a text payload (e.g. folded profile stacks) from the control port."""
-    import http.client
-
-    conn = http.client.HTTPConnection(args.host, args.control_port,
-                                      timeout=30)
+def get_text(host: str, port: int, path: str) -> str:
+    """GET a text payload (folded profile stacks, a Prometheus scrape)."""
+    conn = http.client.HTTPConnection(host, port, timeout=30)
     try:
         conn.request("GET", path)
         response = conn.getresponse()
@@ -197,7 +198,8 @@ def check_debug_plane(args: argparse.Namespace, client: ServiceClient,
                                   for r in tree.get("records") or ()}),
         }
     if args.workers > 1:
-        folded = control_get_text(args, "/debug/profile?seconds=1")
+        folded = get_text(args.host, args.control_port,
+                          "/debug/profile?seconds=1")
     else:
         folded = client.debug_profile(seconds=1.0)
     result["profile_stacks"] = sum(
@@ -463,7 +465,53 @@ def verify_determinism(args: argparse.Namespace,
     }
 
 
-def check_metrics(client: ServiceClient) -> Dict[str, Any]:
+_PROM_SAMPLE = re.compile(r"^(\w+)\{(.*)\} (\S+)$")
+_PROM_LABEL = re.compile(r'(\w+)="((?:[^"\\]|\\.)*)"')
+REQUEST_SECONDS = "repro_service_request_seconds"
+
+
+def prometheus_problems(text: str) -> List[str]:
+    """What is wrong with the ``repro_service_request_seconds`` family in
+    one Prometheus scrape: it must be typed ``histogram`` and, for every
+    stage, ``le`` must ascend, cumulative counts never decrease, and the
+    closing ``+Inf`` bucket equal ``_count``."""
+    problems = []
+    if f"# TYPE {REQUEST_SECONDS} histogram" not in text.splitlines():
+        problems.append(f"{REQUEST_SECONDS} is not typed histogram")
+    buckets: Dict[str, List[Tuple[str, float]]] = {}
+    counts: Dict[str, float] = {}
+    for line in text.splitlines():
+        match = _PROM_SAMPLE.match(line)
+        if not match or not match.group(1).startswith(REQUEST_SECONDS):
+            continue
+        name, raw_labels, value = match.groups()
+        labels = dict(_PROM_LABEL.findall(raw_labels))
+        stage = labels.get("stage", "")
+        if name == f"{REQUEST_SECONDS}_bucket":
+            buckets.setdefault(stage, []).append((labels.get("le", ""),
+                                                  float(value)))
+        elif name == f"{REQUEST_SECONDS}_count":
+            counts[stage] = float(value)
+    if "total" not in counts:
+        problems.append(f"{REQUEST_SECONDS} has no stage=total series")
+    for stage in sorted(set(buckets) | set(counts)):
+        rows = buckets.get(stage, [])
+        bounds = [float(le) for le, _ in rows]
+        cumulative = [cum for _, cum in rows]
+        if not rows or rows[-1][0] != "+Inf":
+            problems.append(f"stage={stage}: no closing +Inf bucket")
+        elif rows[-1][1] != counts.get(stage):
+            problems.append(f"stage={stage}: +Inf bucket {rows[-1][1]:g} "
+                            f"!= _count {counts.get(stage)}")
+        if any(a >= b for a, b in zip(bounds, bounds[1:])):
+            problems.append(f"stage={stage}: le bounds do not ascend")
+        if cumulative != sorted(cumulative):
+            problems.append(f"stage={stage}: cumulative counts decrease")
+    return problems
+
+
+def check_metrics(args: argparse.Namespace,
+                  client: ServiceClient) -> Dict[str, Any]:
     payload = client.metrics()
     problems = []
     for key in ("queue", "batching", "latency", "requests", "registry"):
@@ -475,6 +523,8 @@ def check_metrics(client: ServiceClient) -> Dict[str, Any]:
     batching = payload.get("batching", {})
     if not batching.get("batches"):
         problems.append("batching.batches is 0 after load")
+    problems += prometheus_problems(
+        get_text(args.host, args.port, "/metrics?format=prometheus"))
     return {
         "well_formed": not problems,
         "problems": problems,
@@ -489,9 +539,27 @@ def check_metrics(client: ServiceClient) -> Dict[str, Any]:
     }
 
 
-def check_cluster_metrics(args: argparse.Namespace) -> Dict[str, Any]:
-    """Validate the supervisor's aggregated control-port ``/metrics``."""
-    payload = control_get(args, "/metrics")
+def check_cluster_metrics(args: argparse.Namespace,
+                          ok_floor: int) -> Dict[str, Any]:
+    """Validate the supervisor's aggregated control-port ``/metrics``.
+
+    Fleet counters arrive with worker heartbeats, so right after the load
+    they may lag.  Poll for up to 3 heartbeat intervals until fleet
+    ``requests.ok`` and ``fleet_latency.total.count`` both reach
+    ``ok_floor`` — the ok replies loadgen saw that a live worker served.
+    """
+    deadline = time.monotonic() + 3 * args.heartbeat_s
+    polls = 0
+    while True:
+        payload = control_get(args, "/metrics")
+        polls += 1
+        fleet_ok = payload.get("requests", {}).get("ok", 0)
+        fleet_total = (payload.get("fleet_latency", {})
+                       .get("total", {}).get("count", 0))
+        if min(fleet_ok, fleet_total) >= ok_floor or \
+                time.monotonic() >= deadline:
+            break
+        time.sleep(args.heartbeat_s / 5)
     problems = []
     for key in ("workers", "worker_table", "requests", "fleet_latency",
                 "registry"):
@@ -502,14 +570,19 @@ def check_cluster_metrics(args: argparse.Namespace) -> Dict[str, Any]:
         problems.append(
             f"live workers {workers.get('live')} below quorum "
             f"{workers.get('quorum')}")
-    if not payload.get("requests", {}).get("ok"):
-        problems.append("fleet requests.ok is 0 after load")
-    total = payload.get("fleet_latency", {}).get("total", {})
-    if not total.get("count"):
-        problems.append("fleet_latency.total.count is 0 after load")
+    if fleet_ok < max(ok_floor, 1):
+        problems.append(f"fleet requests.ok {fleet_ok} < {ok_floor} ok "
+                        f"replies after {polls} polls")
+    if fleet_total < max(ok_floor, 1):
+        problems.append(f"fleet_latency.total.count {fleet_total} < "
+                        f"{ok_floor} ok replies after {polls} polls")
+    problems += prometheus_problems(
+        get_text(args.host, args.control_port, "/metrics?format=prometheus"))
     return {
         "well_formed": not problems,
         "problems": problems,
+        "ok_floor": ok_floor,
+        "polls": polls,
         "workers": workers,
         "worker_table": payload.get("worker_table"),
         "requests": payload.get("requests"),
@@ -560,6 +633,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
             def chaos_runner() -> None:
                 chaos_result.update(chaos_kill_one(args, progress, chaos_stop))
+                # Replies the killed worker served die with its registry;
+                # the fleet check counts only replies completed after the
+                # respawn, all served by live workers.
+                chaos_result["outcomes_at_recovery"] = len(outcomes)
 
             chaos_thread = threading.Thread(target=chaos_runner, daemon=True)
 
@@ -590,9 +667,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             }
 
         if args.workers > 1:
-            report["metrics_after"] = check_cluster_metrics(args)
+            after = chaos_result.get("outcomes_at_recovery", 0) \
+                if chaos_result.get("killed_pid") else 0
+            report["metrics_after"] = check_cluster_metrics(
+                args, sum(1 for o in outcomes[after:] if o.code == "ok"))
         else:
-            report["metrics_after"] = check_metrics(client)
+            report["metrics_after"] = check_metrics(args, client)
         if args.trace and report["tracing"]["sample_trace_ids"]:
             try:
                 report["tracing"]["debug"] = check_debug_plane(

@@ -7,14 +7,14 @@ listen FD elsewhere — supervised by a single-threaded
 :class:`ClusterSupervisor`:
 
 * per-worker control channels (:mod:`repro.cluster.control`) carry
-  heartbeats with full metrics/latency snapshots;
+  heartbeats with full metrics registry snapshots;
 * dead workers (``kill -9`` included) are reaped and respawned with
   exponential backoff; crash loops trip a per-slot circuit breaker;
 * SIGTERM fans out drain-then-exit, SIGHUP does a rolling restart that
   never drops below N-1 live workers;
 * the supervisor's control port serves fleet-aggregated ``/metrics``
-  (JSON + Prometheus, histograms merged bucket-wise —
-  :mod:`repro.cluster.merge`) and quorum-based ``/healthz``.
+  (JSON + Prometheus, histograms merged bucket-wise by
+  :func:`repro.telemetry.merge_snapshots`) and quorum-based ``/healthz``.
 
 See docs/architecture.md, "Cluster".
 """
@@ -25,12 +25,6 @@ from .control import (
     MAX_FRAME_BYTES,
     encode_frame,
     send_message,
-)
-from .merge import (
-    latency_prometheus_series,
-    latency_summary,
-    merge_worker_latency,
-    merge_worker_registries,
 )
 from .supervisor import (
     BROKEN,
@@ -61,10 +55,6 @@ __all__ = [
     "bind_reuseport",
     "default_sharing",
     "encode_frame",
-    "latency_prometheus_series",
-    "latency_summary",
-    "merge_worker_latency",
-    "merge_worker_registries",
     "run_cluster",
     "send_message",
     "worker_main",

@@ -20,7 +20,8 @@ Message types (``msg["type"]``):
   carries ``slot``, ``pid`` and the bound ``port``.
 * ``heartbeat`` — periodic liveness beacon; carries ``seq``,
   ``uptime_s`` and (every beat) the worker's ``metrics`` registry
-  snapshot plus its ``latency`` board state for fleet aggregation.
+  snapshot for fleet aggregation; its histograms carry log buckets, so
+  the supervisor merges request latency losslessly.
 * ``drained``   — drain finished; the worker is about to exit 0.
 * ``debug``     — supervisor → worker: one forwarded ``GET /debug/*``
   request; carries ``id`` (correlation), ``op`` (``requests`` /

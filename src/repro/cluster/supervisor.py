@@ -20,11 +20,13 @@ behind a single listen port and supervises them:
   before touching the next, so the fleet never drops below N-1 live
   workers.
 * **Fleet observability** — heartbeats carry each worker's metrics
-  registry snapshot and latency-board state; the supervisor serves an
-  aggregated ``GET /metrics`` on its control port (JSON, or Prometheus
-  text via ``?format=prometheus`` / ``Accept: text/plain``) with counters
-  summed, latency histograms merged bucket-wise and per-worker
-  ``up``/``restarts`` gauges, plus ``GET /healthz`` reflecting quorum.
+  registry snapshot; the supervisor serves an aggregated ``GET /metrics``
+  on its control port (JSON, or Prometheus text, negotiated exactly as
+  the server does) with counters summed, histograms — request latency
+  included — merged bucket-wise by :func:`~repro.telemetry.merge_snapshots`
+  and per-worker ``up``/``restarts`` gauges, plus ``GET /healthz``
+  reflecting quorum.  Malformed requests get 400, methods other than GET
+  405, as on the server.
 * **Debug plane proxy** — ``GET /debug/requests``, ``/debug/trace/<id>``
   and ``/debug/profile`` on the control port fan out as ``debug`` frames
   to every READY worker; the HTTP connection parks until each worker's
@@ -41,6 +43,7 @@ forking stays cheap and safe.
 from __future__ import annotations
 
 import json
+import math
 import os
 import selectors
 import signal
@@ -48,28 +51,23 @@ import socket
 import time
 import traceback
 from typing import Any, Callable, Dict, List, Optional, Tuple
+from urllib.parse import parse_qs, unquote
 
+from ..service.server import REASONS, latency_summary, wants_prometheus
 from ..telemetry import (
     METRICS,
     PROMETHEUS_CONTENT_TYPE,
     assemble_tree,
     log,
+    merge_snapshots,
     render_prometheus,
 )
 from .control import ControlChannelError, FrameDecoder, encode_frame
-from .merge import (
-    latency_prometheus_series,
-    latency_summary,
-    merge_worker_latency,
-    merge_worker_registries,
-)
 
 #: Worker slot lifecycle states.
 STARTING, READY, STOPPING, DOWN, BROKEN, EXITED = (
     "starting", "ready", "stopping", "down", "broken", "exited",
 )
-
-_HTTP_REASONS = {200: "OK", 404: "Not Found", 503: "Service Unavailable"}
 
 
 def default_sharing() -> str:
@@ -96,7 +94,6 @@ class WorkerSlot:
         self.uptime_s = 0.0
         self.draining = False
         self.metrics: Dict[str, Any] = {}
-        self.latency: Dict[str, Any] = {}
         self.requests: Dict[str, int] = {}
 
     @property
@@ -149,15 +146,6 @@ class _DebugFanout:
         #: slot index -> reply body.
         self.replies: Dict[int, Any] = {}
         self.deadline = deadline
-
-
-def _query_params(query: str) -> Dict[str, str]:
-    params: Dict[str, str] = {}
-    for part in query.split("&"):
-        if "=" in part:
-            name, _, value = part.partition("=")
-            params[name.strip()] = value.strip()
-    return params
 
 
 class ClusterSupervisor:
@@ -440,9 +428,6 @@ class ClusterSupervisor:
             metrics = message.get("metrics")
             if isinstance(metrics, dict):
                 slot.metrics = metrics
-            latency = message.get("latency")
-            if isinstance(latency, dict):
-                slot.latency = latency
             requests = message.get("requests")
             if isinstance(requests, dict):
                 slot.requests = requests
@@ -713,34 +698,28 @@ class ClusterSupervisor:
                  state: Optional[_HttpConn] = None) -> Optional[bytes]:
         """Route one control-port request; ``None`` parks the connection
         (a ``/debug`` fan-out completes it from :meth:`_finish_fanout`)."""
-        try:
-            text = raw.decode("latin-1")
-            request_line = text.splitlines()[0]
-            method, target, _version = request_line.split()[:3]
-        except (UnicodeDecodeError, IndexError, ValueError):
-            return self._http_response(404, {"error": "malformed request"})
-        path, _, query = target.partition("?")
+        lines = raw.decode("latin-1").splitlines()
+        parts = lines[0].split() if lines else []
+        if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
+            return self._http_response(
+                400, {"error": "malformed request line"})
+        method, target = parts[0].upper(), parts[1]
         if method != "GET":
-            return self._http_response(404, {"error": "GET only"})
+            return self._http_response(405, {"error": "use GET"})
+        headers: Dict[str, str] = {}
+        for line in lines[1:]:
+            if not line:
+                break
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        path, _, query = target.partition("?")
         if path.startswith("/debug/") and state is not None:
             return self._start_debug_fanout(state, path, query)
         if path == "/healthz":
             payload, healthy = self.health_payload()
             return self._http_response(200 if healthy else 503, payload)
         if path == "/metrics":
-            accept = ""
-            for line in text.splitlines()[1:]:
-                if line.lower().startswith("accept:"):
-                    accept = line.partition(":")[2].strip().lower()
-            fmt = ""
-            for part in query.split("&"):
-                if part.startswith("format="):
-                    fmt = part.partition("=")[2].strip().lower()
-            wants_prom = fmt == "prometheus" or (
-                not fmt and "text/plain" in accept
-                and "application/json" not in accept
-            )
-            if wants_prom:
+            if wants_prometheus(query, headers):
                 body = self.prometheus_body()
                 return self._http_response(
                     200, body, content_type=PROMETHEUS_CONTENT_TYPE)
@@ -757,22 +736,28 @@ class ClusterSupervisor:
         parking ``state`` — :meth:`_finish_fanout` completes it once all
         replies land (or :meth:`_expire_fanouts` gives up at deadline).
         """
-        params = _query_params(query)
+        params = {name: values[0] for name, values in parse_qs(query).items()}
         grace = 5.0
         try:
             if path == "/debug/requests":
                 op = "requests"
                 frame: Dict[str, Any] = {
-                    "op": op, "limit": int(params.get("limit") or 50)}
-            elif path.startswith("/debug/trace/") and len(path) > 13:
+                    "op": op, "limit": int(params.get("limit", 50))}
+            elif path.startswith("/debug/trace/"):
                 op = "trace"
-                frame = {"op": op, "trace_id": path[len("/debug/trace/"):]}
+                trace_id = unquote(path[len("/debug/trace/"):]).strip()
+                if not trace_id:
+                    return self._http_response(
+                        400, {"error": "usage: GET /debug/trace/<trace_id>"})
+                frame = {"op": op, "trace_id": trace_id}
             elif path == "/debug/profile":
                 op = "profile"
-                seconds = min(max(float(params.get("seconds") or 1.0),
-                                  0.05), 30.0)
+                seconds = float(params.get("seconds", 1.0))
+                if math.isnan(seconds):
+                    raise ValueError("seconds is NaN")
+                seconds = min(max(seconds, 0.05), 30.0)
                 frame = {"op": op, "seconds": seconds}
-                if params.get("hz"):
+                if "hz" in params:
                     frame["hz"] = int(params["hz"])
                 grace = seconds + 10.0
             else:
@@ -780,7 +765,7 @@ class ClusterSupervisor:
                     404, {"error": f"no route for {path}"})
         except ValueError:
             return self._http_response(
-                404, {"error": "debug parameters must be numeric"})
+                400, {"error": "debug parameters must be numeric"})
         self._debug_seq += 1
         frame = {"type": "debug", "id": self._debug_seq, **frame}
         now = time.monotonic()
@@ -865,7 +850,7 @@ class ClusterSupervisor:
         body = (payload if isinstance(payload, bytes)
                 else json.dumps(payload).encode("utf-8"))
         head = (
-            f"HTTP/1.1 {status} {_HTTP_REASONS.get(status, 'OK')}\r\n"
+            f"HTTP/1.1 {status} {REASONS.get(status, 'OK')}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
             "Connection: close\r\n\r\n"
@@ -918,17 +903,11 @@ class ClusterSupervisor:
             str(slot.index): slot.metrics
             for slot in self.slots if slot.metrics
         }
-        return merge_worker_registries(per_worker, base=METRICS.snapshot())
-
-    def merged_latency(self) -> Dict[str, Any]:
-        return merge_worker_latency({
-            str(slot.index): slot.latency
-            for slot in self.slots if slot.latency
-        })
+        return merge_snapshots(per_worker, base=METRICS.snapshot())
 
     def metrics_payload(self) -> Dict[str, Any]:
         health, _healthy = self.health_payload()
-        merged_latency = self.merged_latency()
+        registry = self.merged_registry()
         requests: Dict[str, int] = {}
         for slot in self.slots:
             for code, count in slot.requests.items():
@@ -936,19 +915,12 @@ class ClusterSupervisor:
         return {
             **health,
             "requests": dict(sorted(requests.items())),
-            "fleet_latency": latency_summary(merged_latency),
-            "registry": self.merged_registry(),
+            "fleet_latency": latency_summary(registry),
+            "registry": registry,
         }
 
     def prometheus_body(self) -> bytes:
-        merged_latency = self.merged_latency()
-        buckets, totals = latency_prometheus_series(merged_latency)
-        text = render_prometheus(
-            self.merged_registry(),
-            latency_buckets=buckets,
-            latency_totals=totals,
-        )
-        return text.encode("utf-8")
+        return render_prometheus(self.merged_registry()).encode("utf-8")
 
 
 def run_cluster(

@@ -6,8 +6,9 @@ socket shared with its siblings — either its own ``SO_REUSEPORT`` bind of
 the cluster port (the kernel load-balances accepts) or the supervisor's
 inherited listen FD.  On top of serving it runs exactly one extra task:
 the heartbeat loop, which ships liveness plus the worker's
-``MetricsRegistry`` snapshot and latency-board state to the supervisor
-over the control socket every ``heartbeat_s``.
+``MetricsRegistry`` snapshot (request latency included, as the
+``service.request_seconds`` histogram) to the supervisor over the
+control socket every ``heartbeat_s``.
 
 The control socket is read as well as written: the supervisor forwards
 ``GET /debug/*`` requests from its control port as ``debug`` frames
@@ -215,7 +216,6 @@ async def _run_worker(
                 "queue_depth": server.queue.depth,
                 "requests": dict(server._request_counts),
                 "metrics": METRICS.snapshot(),
-                "latency": server.latency.state(),
                 "flight": {"recorded": flight["recorded"],
                            "capacity": flight["capacity"]},
             })

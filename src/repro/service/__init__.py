@@ -11,7 +11,6 @@ and drain-on-SIGTERM.  See docs/architecture.md, "Serving".
 Layering (each module only imports the ones above it):
 
 * :mod:`~repro.service.protocol` — wire format, error taxonomy
-* :mod:`~repro.service.latency` — log-bucket p50/p95/p99 histograms
 * :mod:`~repro.service.engine` — cache-pinned batch execution
 * :mod:`~repro.service.batching` — bounded queue, dynamic batching
 * :mod:`~repro.service.server` — asyncio HTTP server, drain, ``repro serve``
@@ -21,7 +20,6 @@ Layering (each module only imports the ones above it):
 from .batching import BatchQueue, PendingRequest
 from .client import ServiceClient, TransportError
 from .engine import DiagnosisEngine, WorkloadContext
-from .latency import LatencyBoard, LatencyHistogram
 from .protocol import (
     ERROR_STATUS,
     SCHEMES,
@@ -39,8 +37,6 @@ __all__ = [
     "DiagnosisEngine",
     "DiagnosisServer",
     "ERROR_STATUS",
-    "LatencyBoard",
-    "LatencyHistogram",
     "PendingRequest",
     "SCHEMES",
     "ServiceClient",

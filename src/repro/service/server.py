@@ -21,10 +21,14 @@ Endpoints:
 * ``GET /metrics``   — JSON snapshot: queue depth, batch sizes,
   p50/p95/p99 latency, per-code request counts, cache footprint, process
   health (``uptime_seconds``, ``process_rss_bytes``), plus the full
-  :data:`repro.telemetry.METRICS` registry.  ``?format=prometheus`` or
-  ``Accept: text/plain`` selects the Prometheus text exposition
-  (:mod:`repro.telemetry.promexp`) instead — counters, gauges, and the
-  latency board as real ``_bucket``/``_sum``/``_count`` histograms.
+  :data:`repro.telemetry.METRICS` registry.  Each request's stages are
+  observed once, into the registry histogram
+  ``service.request_seconds{stage=total|queue_wait|execute}``; the
+  ``latency`` section is its :func:`~repro.telemetry.metrics.summary`.
+  ``?format=prometheus`` or ``Accept: text/plain`` selects the
+  Prometheus text exposition (:mod:`repro.telemetry.promexp`) instead —
+  counters, gauges, and every registry histogram as a real
+  ``_bucket``/``_sum``/``_count`` histogram.
 * ``GET /debug/requests`` — flight-recorder snapshot: the most recent,
   slowest, and most recently failing requests per route/workload, each
   with its queue/batch/kernel timing breakdown (``?limit=N``).
@@ -72,27 +76,65 @@ from ..telemetry import (
     assemble_tree,
     log,
     make_record,
+    metric_key,
     new_span_id,
     new_trace_id,
     parse_traceparent,
     render_prometheus,
     trace_scope,
 )
+from ..telemetry.metrics import summary
 from .batching import BatchQueue, PendingRequest
 from .engine import DiagnosisEngine
-from .latency import LatencyBoard
 from .protocol import DiagnoseReply, DiagnoseRequest, ServiceError
 
 DEFAULT_PORT = 8953
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
-_REASONS = {
+#: Reason phrases for every status the server and the cluster control
+#: port answer with.
+REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 429: "Too Many Requests",
     500: "Internal Server Error", 503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+#: Registry histogram every request stage is observed into, labelled
+#: ``stage``: whole request, queue wait, and the batch's execution.
+REQUEST_SECONDS = "service.request_seconds"
+LATENCY_STAGES = ("execute", "queue_wait", "total")
+
+
+def latency_summary(snapshot: Dict[str, Any]) -> Dict[str, Dict[str, float]]:
+    """The ``latency`` view of a (possibly fleet-merged) registry
+    snapshot: one :func:`~repro.telemetry.metrics.summary` per stage."""
+    hists = snapshot.get("histograms", {})
+    return {
+        stage: summary(
+            hists.get(metric_key(REQUEST_SECONDS, {"stage": stage})))
+        for stage in LATENCY_STAGES
+    }
+
+
+def wants_prometheus(query: str, headers: Dict[str, str]) -> bool:
+    """Content negotiation for ``GET /metrics``.
+
+    ``?format=prometheus`` (or ``?format=json``) wins outright;
+    otherwise an ``Accept`` header naming ``text/plain`` (what
+    Prometheus scrapers send) selects the text exposition.  Everything
+    else — including unknown formats — keeps the JSON default, so
+    existing consumers can never be broken by a typo.  ``headers`` keys
+    are lower-case.
+    """
+    fmt = (parse_qs(query).get("format") or [""])[0].strip().lower()
+    if fmt == "prometheus":
+        return True
+    if fmt:
+        return False
+    accept = headers.get("accept", "").lower()
+    return "text/plain" in accept and "application/json" not in accept
 
 
 def _env_int(name: str, default: int) -> int:
@@ -180,7 +222,6 @@ class DiagnosisServer:
         self.dispatchers = max(1, dispatchers)
         self.default_timeout_ms = default_timeout_ms
         self.drain_grace_s = drain_grace_s
-        self.latency = LatencyBoard()
         self.started_at = time.monotonic()
         self._server: Optional[asyncio.AbstractServer] = None
         self._dispatcher_tasks: List[asyncio.Task] = []
@@ -295,15 +336,16 @@ class DiagnosisServer:
                 self._inflight -= len(batch)
             execute_s = time.monotonic() - started
             self.queue.record_service_rate(execute_s / len(batch))
-            self.latency["execute"].observe(execute_s)
+            METRICS.observe(REQUEST_SECONDS, execute_s,
+                            labels={"stage": "execute"})
             METRICS.incr("service.batches")
             METRICS.observe("service.batch_size", len(batch))
-            METRICS.observe("service.batch_execute_s", execute_s)
             for entry, result in zip(batch, results):
                 if entry.future.done():
                     continue  # waiter timed out / disconnected meanwhile
                 queue_wait_s = started - entry.enqueued_at
-                self.latency["queue_wait"].observe(queue_wait_s)
+                METRICS.observe(REQUEST_SECONDS, queue_wait_s,
+                                labels={"stage": "queue_wait"})
                 if isinstance(result, ServiceError):
                     entry.future.set_exception(result)
                 else:
@@ -396,7 +438,7 @@ class DiagnosisServer:
             body = json.dumps(payload).encode("utf-8")
             content_type = "application/json"
         lines = [
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
+            f"HTTP/1.1 {status} {REASONS.get(status, 'OK')}",
             f"Content-Type: {content_type}",
             f"Content-Length: {len(body)}",
             f"Connection: {'close' if close else 'keep-alive'}",
@@ -427,7 +469,7 @@ class DiagnosisServer:
             if path == "/metrics":
                 if method != "GET":
                     raise ServiceError("method_not_allowed", "use GET /metrics")
-                if self._wants_prometheus(query, headers):
+                if wants_prometheus(query, headers):
                     return 200, self._prometheus_body(), None
                 return 200, self._metrics_payload(), None
             if path == "/debug/requests":
@@ -527,9 +569,9 @@ class DiagnosisServer:
                     raise ServiceError("deadline_exceeded",
                                        f"request exceeded {timeout_ms:.0f} ms")
                 finally:
-                    self.latency["total"].observe(time.monotonic() - arrived)
-                    METRICS.observe("service.latency_s",
-                                    time.monotonic() - arrived)
+                    METRICS.observe(REQUEST_SECONDS,
+                                    time.monotonic() - arrived,
+                                    labels={"stage": "total"})
                 reply.trace_id = trace_id
                 flight_extra = {
                     "queue_wait_ms": reply.queue_wait_ms,
@@ -551,24 +593,6 @@ class DiagnosisServer:
 
     # -- introspection -------------------------------------------------------
 
-    @staticmethod
-    def _wants_prometheus(query: str, headers: Dict[str, str]) -> bool:
-        """Content negotiation for ``GET /metrics``.
-
-        ``?format=prometheus`` (or ``?format=json``) wins outright;
-        otherwise an ``Accept`` header naming ``text/plain`` (what
-        Prometheus scrapers send) selects the text exposition.  Everything
-        else — including unknown formats — keeps the JSON default, so
-        existing consumers can never be broken by a typo.
-        """
-        fmt = (parse_qs(query).get("format") or [""])[0].strip().lower()
-        if fmt == "prometheus":
-            return True
-        if fmt:
-            return False
-        accept = headers.get("accept", "").lower()
-        return "text/plain" in accept and "application/json" not in accept
-
     def _observe_process_gauges(self) -> Tuple[float, Optional[int]]:
         """Refresh the process-health gauges both snapshots share."""
         uptime_s = time.monotonic() - self.started_at
@@ -582,10 +606,7 @@ class DiagnosisServer:
 
     def _prometheus_body(self) -> Tuple[bytes, str]:
         self._observe_process_gauges()
-        buckets, totals = self.latency.prometheus_series()
-        text = render_prometheus(
-            METRICS.snapshot(), latency_buckets=buckets, latency_totals=totals,
-        )
+        text = render_prometheus(METRICS.snapshot())
         return text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE
 
     def _health_payload(self) -> Dict[str, Any]:
@@ -600,6 +621,7 @@ class DiagnosisServer:
     def _metrics_payload(self) -> Dict[str, Any]:
         cache_stats = cache.stats()
         uptime_s, rss = self._observe_process_gauges()
+        registry = METRICS.snapshot()
         return {
             "status": "draining" if self._draining else "ok",
             "uptime_s": round(uptime_s, 3),
@@ -614,10 +636,9 @@ class DiagnosisServer:
                 "batch_max": self.batch_max,
                 "batch_wait_ms": self.queue.batch_wait_s * 1000,
                 "batches": int(METRICS.counter("service.batches")),
-                "batch_size": (METRICS.snapshot()["histograms"]
-                               .get("service.batch_size")),
+                "batch_size": registry["histograms"].get("service.batch_size"),
             },
-            "latency": self.latency.summary(),
+            "latency": latency_summary(registry),
             "requests": dict(sorted(self._request_counts.items())),
             "rejected": int(METRICS.counter("service.rejected")),
             "timeouts": int(METRICS.counter("service.timeouts")),
@@ -627,7 +648,7 @@ class DiagnosisServer:
                 "bytes": cache_stats.bytes,
                 "evictions": cache_stats.evictions,
             },
-            "registry": METRICS.snapshot(),
+            "registry": registry,
         }
 
     # -- debug plane ---------------------------------------------------------

@@ -7,7 +7,9 @@ with fleet-merged bodies) — and redraws a compact board every interval:
 
 * throughput (requests/s from successive count deltas) and the request
   taxonomy (per-code counts, rejected, timeouts);
-* latency quantiles (p50/p95/p99) per stage, fleet-merged on a cluster;
+* latency quantiles (p50/p95/p99) per stage — the summary of the
+  registry's ``service.request_seconds`` histogram, merged bucket-wise
+  across workers on a cluster;
 * queue depth / inflight, and on a cluster the per-worker table — state,
   pid, restarts, heartbeat age, per-worker rps, breaker state;
 * the slowest and most recently failing requests from the flight

@@ -11,7 +11,10 @@ are plain string-keyed dicts that serialize and merge trivially.
 The registry is always on: increments happen at per-fault / per-chunk
 granularity (never per event or per bit — callers batch with ``value=``),
 so the cost is one dict update under a lock, invisible next to the numpy
-work between increments.  :meth:`MetricsRegistry.diff` /
+work between increments.  Histograms keep sparse log buckets with no floor
+or ceiling, so seconds, batch sizes and event counts share one layout,
+merge losslessly across processes and give quantiles within one bucket
+(:func:`summary` is the p50/p95/p99 view).  :meth:`MetricsRegistry.diff` /
 :meth:`MetricsRegistry.merge` implement the fork-merge protocol: a worker
 snapshots before and after its chunk and ships the delta back to the
 parent (see :mod:`repro.parallel`).
@@ -19,8 +22,10 @@ parent (see :mod:`repro.parallel`).
 
 from __future__ import annotations
 
+import math
+import sys
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 
 def metric_key(name: str, labels: Optional[Dict[str, Any]] = None) -> str:
@@ -44,17 +49,45 @@ def split_metric_key(key: str) -> tuple:
     return name, labels
 
 
-class Histogram:
-    """Streaming summary: count / sum / min / max (no buckets — the
-    manifest wants totals and means, not quantiles)."""
+#: Log buckets per factor of two.  Bucket ``i`` holds
+#: ``2**(i/8) <= v < 2**((i+1)/8)``, so a quantile read off a bucket's
+#: upper bound is within ``2**(1/8) - 1`` (9.05%) of the exact value.
+BUCKETS_PER_OCTAVE = 8
+#: The one bucket for ``v <= 0``.  It sits below the smallest positive
+#: double's index (-8592), so ascending index order keeps it first.
+ZERO_BUCKET = -10_000
 
-    __slots__ = ("count", "total", "min", "max")
+
+def bucket_index(value: float) -> int:
+    """``floor(log2(v) * 8)``, or :data:`ZERO_BUCKET` for ``v <= 0``.
+
+    No floor or ceiling: seconds, batch sizes and event counts share the
+    one layout, so any two histograms merge index-wise.
+    """
+    if not value > 0:  # NaN lands here too
+        return ZERO_BUCKET
+    return math.floor(math.log2(min(value, sys.float_info.max))
+                      * BUCKETS_PER_OCTAVE)
+
+
+def bucket_upper(index: int) -> float:
+    """Upper bound of a bucket (what a quantile inside it reports)."""
+    if index == ZERO_BUCKET:
+        return 0.0
+    return 2.0 ** ((index + 1) / BUCKETS_PER_OCTAVE)
+
+
+class Histogram:
+    """Streaming count / sum / min / max plus sparse log buckets."""
+
+    __slots__ = ("count", "total", "min", "max", "buckets")
 
     def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
+        self.buckets: Dict[int, int] = {}
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -62,6 +95,8 @@ class Histogram:
         self.total += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
+        index = bucket_index(value)
+        self.buckets[index] = self.buckets.get(index, 0) + 1
 
     @property
     def mean(self) -> Optional[float]:
@@ -74,6 +109,7 @@ class Histogram:
             "min": self.min,
             "max": self.max,
             "mean": self.mean,
+            "buckets": {str(i): n for i, n in sorted(self.buckets.items())},
         }
 
     def merge(self, other: Dict[str, Any]) -> None:
@@ -88,6 +124,55 @@ class Histogram:
                 continue
             mine = getattr(self, bound)
             setattr(self, bound, value if mine is None else pick(mine, value))
+        for index, n in (other.get("buckets") or {}).items():
+            index = int(index)
+            self.buckets[index] = self.buckets.get(index, 0) + int(n)
+
+
+def cumulative_buckets(hist: Dict[str, Any]) -> List[Tuple[float, int]]:
+    """``(upper_bound, cumulative_count)`` per occupied bucket of a
+    histogram dict, ascending — the Prometheus ``_bucket{le=...}`` shape."""
+    out: List[Tuple[float, int]] = []
+    cum = 0
+    counts = hist.get("buckets") or {}
+    for index in sorted(counts, key=int):
+        cum += int(counts[index])
+        out.append((bucket_upper(int(index)), cum))
+    return out
+
+
+def quantile(hist: Dict[str, Any], q: float) -> Optional[float]:
+    """The q-quantile of a histogram dict: the upper bound of the bucket
+    holding rank ``ceil(q * count)``, capped at ``max`` (None if empty)."""
+    if not 0 < q <= 1:
+        raise ValueError("quantile must be in (0, 1]")
+    count = int(hist.get("count", 0))
+    if not count:
+        return None
+    rank = math.ceil(q * count)
+    peak = hist["max"]
+    for upper, cum in cumulative_buckets(hist):
+        if cum >= rank:
+            return min(upper, peak)
+    return peak
+
+
+def summary(hist: Optional[Dict[str, Any]]) -> Dict[str, float]:
+    """Dashboard view of a seconds histogram dict: count, sum, mean, max
+    and pXX, all in **ms**; an absent histogram reads as empty."""
+    hist = hist or {}
+    count = int(hist.get("count", 0))
+    total = float(hist.get("sum", 0.0))
+    out: Dict[str, float] = {
+        "count": count,
+        "sum_ms": round(total * 1000, 3),
+        "mean_ms": round(total / count * 1000, 3) if count else 0.0,
+        "max_ms": round((hist.get("max") or 0.0) * 1000, 3),
+    }
+    for q in (0.5, 0.95, 0.99):
+        value = quantile(hist, q)
+        out[f"p{int(q * 100)}_ms"] = round(value * 1000, 3) if value else 0.0
+    return out
 
 
 class MetricsRegistry:
@@ -150,9 +235,9 @@ class MetricsRegistry:
     def diff(self, before: Dict[str, Any]) -> Dict[str, Any]:
         """Registry activity since ``before`` (an earlier :meth:`snapshot`).
 
-        Counters and histogram count/sum subtract; histogram min/max and
-        gauges keep their latest values (monotone merges stay correct, and
-        gauges are last-writer-wins by definition).
+        Counters and histogram count/sum/buckets subtract; histogram
+        min/max and gauges keep their latest values (monotone merges stay
+        correct, and gauges are last-writer-wins by definition).
         """
         now = self.snapshot()
         counters = {}
@@ -169,12 +254,18 @@ class MetricsRegistry:
                 continue
             count = hist["count"] - prior.get("count", 0)
             if count:
+                was = prior.get("buckets") or {}
                 histograms[key] = {
                     "count": count,
                     "sum": hist["sum"] - prior.get("sum", 0.0),
                     "min": hist["min"],
                     "max": hist["max"],
                     "mean": None,
+                    "buckets": {
+                        index: n - was.get(index, 0)
+                        for index, n in hist["buckets"].items()
+                        if n != was.get(index, 0)
+                    },
                 }
         return {"counters": counters, "gauges": now["gauges"], "histograms": histograms}
 
@@ -212,7 +303,10 @@ def merge_snapshots(
     the supervisor never has to instantiate a registry per worker:
 
     * counters sum across sources;
-    * histograms merge count/sum and take the min/max envelope;
+    * histograms add count/sum and buckets index-wise (every process
+      shares the one log-bucket layout, so fleet quantiles are exactly
+      those of one process observing every sample) and take the min/max
+      envelope;
     * gauges are **relabeled** with ``gauge_label=<source>`` (a gauge like
       ``process.rss_bytes`` from two workers must not last-writer-wins —
       per-source series are the only honest aggregate).  Pass

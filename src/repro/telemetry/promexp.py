@@ -8,12 +8,12 @@ module renders that format with zero dependencies from the pieces the
 pipeline already maintains:
 
 * :class:`repro.telemetry.metrics.MetricsRegistry` counters become
-  ``<ns>_<name>_total`` counter samples; gauges map 1:1; the registry's
-  bucketless count/sum histograms become Prometheus **summaries**
-  (``_sum``/``_count``) with their min/max exposed as companion gauges.
-* :class:`repro.service.latency.LatencyBoard` log-bucket histograms
-  become full Prometheus **histograms** — cumulative ``_bucket{le=...}``
-  series plus ``_sum``/``_count`` — one ``stage`` label per board entry.
+  ``<ns>_<name>_total`` counter samples; gauges map 1:1; histograms
+  become real Prometheus **histograms** — cumulative ``_bucket{le=...}``
+  series over the registry's log buckets, closed by ``le="+Inf"`` at the
+  total count, plus ``_sum``/``_count``.  Labels ride along, so the
+  service's ``service.request_seconds{stage=...}`` family renders as
+  ``repro_service_request_seconds{stage="total"}`` and so on.
 
 Metric names are derived mechanically: dots to underscores, everything
 else non-alphanumeric folded to ``_``, ``repro_`` namespace prefix.
@@ -29,9 +29,9 @@ default so existing consumers never notice.
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from .metrics import METRICS, split_metric_key
+from .metrics import METRICS, cumulative_buckets, split_metric_key
 
 #: Content type Prometheus scrapers expect for the text format.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -96,19 +96,10 @@ def _grouped(samples: Dict[str, Any]) -> Dict[str, List[Tuple[Dict[str, Any], An
 
 def render_prometheus(
     snapshot: Optional[Dict[str, Any]] = None,
-    latency_buckets: Optional[Dict[str, Iterable[Tuple[float, int]]]] = None,
-    latency_totals: Optional[Dict[str, Tuple[float, int]]] = None,
     namespace: str = "repro",
 ) -> str:
-    """Render one scrape body.
-
-    ``snapshot`` defaults to the live :data:`METRICS` registry.
-    ``latency_buckets`` maps a stage name to its cumulative
-    ``(upper_bound_s, cumulative_count)`` series and ``latency_totals``
-    to ``(sum_seconds, count)`` — the shape
-    :meth:`repro.service.latency.LatencyHistogram.cumulative_buckets`
-    and ``totals`` produce.
-    """
+    """Render one scrape body (``snapshot`` defaults to the live
+    :data:`METRICS` registry)."""
     snapshot = METRICS.snapshot() if snapshot is None else snapshot
     lines: List[str] = []
 
@@ -126,41 +117,17 @@ def render_prometheus(
 
     for name, samples in _grouped(snapshot.get("histograms", {})).items():
         metric = sanitize_metric_name(name, namespace)
-        lines.append(f"# TYPE {metric} summary")
-        extremes: List[Tuple[str, Dict[str, Any], Any]] = []
+        lines.append(f"# TYPE {metric} histogram")
         for labels, hist in samples:
+            for upper, cum in cumulative_buckets(hist):
+                le = _fmt_labels({**labels, "le": f"{upper:.9g}"})
+                lines.append(f"{metric}_bucket{le} {cum}")
+            count = _fmt_value(hist.get("count", 0))
+            inf = _fmt_labels({**labels, "le": "+Inf"})
+            lines.append(f"{metric}_bucket{inf} {count}")
             label_str = _fmt_labels(labels)
             lines.append(f"{metric}_sum{label_str} "
                          f"{_fmt_value(hist.get('sum', 0.0))}")
-            lines.append(f"{metric}_count{label_str} "
-                         f"{_fmt_value(hist.get('count', 0))}")
-            for bound in ("min", "max"):
-                if hist.get(bound) is not None:
-                    extremes.append((bound, labels, hist[bound]))
-        # min/max have no place in a summary; expose them as companion
-        # gauges so dashboards keep the envelope the JSON snapshot had.
-        for bound in ("min", "max"):
-            rows = [e for e in extremes if e[0] == bound]
-            if rows:
-                lines.append(f"# TYPE {metric}_{bound} gauge")
-                for _, labels, value in rows:
-                    lines.append(f"{metric}_{bound}{_fmt_labels(labels)} "
-                                 f"{_fmt_value(value)}")
-
-    if latency_buckets:
-        metric = sanitize_metric_name("service.request_seconds", namespace)
-        lines.append(f"# TYPE {metric} histogram")
-        for stage in sorted(latency_buckets):
-            buckets = list(latency_buckets[stage])
-            total_sum, total_count = (latency_totals or {}).get(
-                stage, (0.0, buckets[-1][1] if buckets else 0))
-            for upper_s, cum in buckets:
-                labels = _fmt_labels({"stage": stage, "le": f"{upper_s:.9g}"})
-                lines.append(f"{metric}_bucket{labels} {cum}")
-            inf_labels = _fmt_labels({"stage": stage, "le": "+Inf"})
-            lines.append(f"{metric}_bucket{inf_labels} {total_count}")
-            stage_labels = _fmt_labels({"stage": stage})
-            lines.append(f"{metric}_sum{stage_labels} {_fmt_value(total_sum)}")
-            lines.append(f"{metric}_count{stage_labels} {total_count}")
+            lines.append(f"{metric}_count{label_str} {count}")
 
     return "\n".join(lines) + "\n"

@@ -1,22 +1,17 @@
-"""Tests for fleet-wide telemetry aggregation (cluster/merge.py and the
-mergeable latency-state algebra in service/latency.py)."""
+"""Fleet-wide aggregation of per-worker registry snapshots: the
+supervisor folds heartbeats with ``merge_snapshots``, and histograms —
+request latency included — add their log buckets index-wise."""
 
 import numpy as np
 
-from repro.cluster.merge import (
-    latency_prometheus_series,
-    latency_summary,
-    merge_worker_latency,
-    merge_worker_registries,
+from repro.service.server import REQUEST_SECONDS, latency_summary
+from repro.telemetry import (
+    Histogram,
+    MetricsRegistry,
+    merge_snapshots,
+    render_prometheus,
 )
-from repro.service.latency import (
-    LatencyBoard,
-    LatencyHistogram,
-    merge_states,
-    state_quantile,
-    state_summary,
-)
-from repro.telemetry import merge_snapshots, render_prometheus
+from repro.telemetry.metrics import cumulative_buckets, quantile, summary
 
 
 def snapshot(counters=None, gauges=None, histograms=None):
@@ -27,9 +22,19 @@ def snapshot(counters=None, gauges=None, histograms=None):
     }
 
 
+def worker(**stages):
+    """A worker registry snapshot with ``service.request_seconds``
+    observations per stage (seconds)."""
+    registry = MetricsRegistry()
+    for stage, values in stages.items():
+        for value in values:
+            registry.observe(REQUEST_SECONDS, value, labels={"stage": stage})
+    return registry.snapshot()
+
+
 class TestRegistryMerge:
     def test_counters_sum_across_workers(self):
-        merged = merge_worker_registries({
+        merged = merge_snapshots({
             "0": snapshot(counters={"service.requests{code=ok}": 10}),
             "1": snapshot(counters={"service.requests{code=ok}": 5,
                                     "service.timeouts": 1}),
@@ -38,7 +43,7 @@ class TestRegistryMerge:
         assert merged["counters"]["service.timeouts"] == 1
 
     def test_gauges_relabeled_per_worker(self):
-        merged = merge_worker_registries({
+        merged = merge_snapshots({
             "0": snapshot(gauges={"process.rss_bytes": 100}),
             "1": snapshot(gauges={"process.rss_bytes": 200}),
         })
@@ -48,13 +53,13 @@ class TestRegistryMerge:
         assert "process.rss_bytes" not in gauges
 
     def test_gauge_with_existing_labels_keeps_them(self):
-        merged = merge_worker_registries({
+        merged = merge_snapshots({
             "2": snapshot(gauges={"soa.levels{circuit=s953}": 7}),
         })
         assert merged["gauges"]["soa.levels{circuit=s953,worker=2}"] == 7
 
     def test_histograms_merge_envelope(self):
-        merged = merge_worker_registries({
+        merged = merge_snapshots({
             "0": snapshot(histograms={
                 "service.batch_size": {"count": 2, "sum": 6.0,
                                        "min": 2.0, "max": 4.0}}),
@@ -68,7 +73,7 @@ class TestRegistryMerge:
         assert hist["min"] == 2.0 and hist["max"] == 9.0
 
     def test_base_snapshot_not_relabeled(self):
-        merged = merge_worker_registries(
+        merged = merge_snapshots(
             {"0": snapshot(counters={"cluster.heartbeats": 3})},
             base=snapshot(gauges={"cluster.workers": 4},
                           counters={"cluster.spawns": 4}),
@@ -78,83 +83,83 @@ class TestRegistryMerge:
         assert merged["counters"]["cluster.heartbeats"] == 3
 
     def test_inputs_not_mutated(self):
-        worker = snapshot(gauges={"g": 1})
+        worker_snap = snapshot(gauges={"g": 1})
         base = snapshot(gauges={"cluster.workers": 2})
-        merge_snapshots({"0": worker}, base=base)
-        assert worker == snapshot(gauges={"g": 1})
+        merge_snapshots({"0": worker_snap}, base=base)
+        assert worker_snap == snapshot(gauges={"g": 1})
         assert base == snapshot(gauges={"cluster.workers": 2})
 
 
 class TestLatencyStateMerge:
     def test_bucketwise_merge_is_lossless(self):
-        # Two workers each observe half the samples; their merged state
-        # must quantile exactly like one histogram holding all of them.
+        # Two workers each observe half the samples; their merged
+        # histogram must equal one histogram holding all of them.
         rng = np.random.default_rng(8)
         samples = rng.uniform(0.001, 0.5, size=400)
-        reference = LatencyHistogram()
-        left, right = LatencyHistogram(), LatencyHistogram()
+        reference, left, right = Histogram(), Histogram(), Histogram()
         for i, s in enumerate(samples):
             reference.observe(s)
             (left if i % 2 == 0 else right).observe(s)
-        merged = merge_states([left.state(), right.state()])
+        merged = merge_snapshots({
+            "0": snapshot(histograms={"h": left.to_dict()}),
+            "1": snapshot(histograms={"h": right.to_dict()}),
+        })["histograms"]["h"]
+        expected = reference.to_dict()
+        assert merged["buckets"] == expected["buckets"]
         for q in (0.5, 0.9, 0.95, 0.99, 1.0):
-            assert state_quantile(merged, q) == reference.quantile(q)
+            assert quantile(merged, q) == quantile(expected, q)
         assert merged["count"] == reference.count
 
     def test_state_summary_matches_histogram_summary(self):
-        hist = LatencyHistogram()
+        # A histogram round-tripped through a fleet merge summarizes
+        # exactly like the original.
+        hist = Histogram()
         for ms in (1, 2, 5, 10, 100):
             hist.observe(ms / 1000)
-        assert state_summary(hist.state()) == hist.summary()
+        merged = merge_snapshots(
+            {"0": snapshot(histograms={"h": hist.to_dict()})})
+        assert summary(merged["histograms"]["h"]) == summary(hist.to_dict())
 
     def test_merge_boards_stage_wise(self):
-        a, b = LatencyBoard(), LatencyBoard()
-        a["total"].observe(0.010)
-        a["execute"].observe(0.002)
-        b["total"].observe(0.030)
-        merged = merge_worker_latency({"0": a.state(), "1": b.state()})
-        assert merged["total"]["count"] == 2
-        assert merged["execute"]["count"] == 1
-        assert merged["queue_wait"]["count"] == 0
+        merged = merge_snapshots({
+            "0": worker(total=[0.010], execute=[0.002]),
+            "1": worker(total=[0.030]),
+        })
+        fleet = latency_summary(merged)
+        assert fleet["total"]["count"] == 2
+        assert fleet["execute"]["count"] == 1
+        assert fleet["queue_wait"]["count"] == 0
 
     def test_missing_and_empty_workers_tolerated(self):
-        a = LatencyBoard()
-        a["total"].observe(0.020)
-        merged = merge_worker_latency({"0": a.state(), "1": {}, "2": None})
-        assert merged["total"]["count"] == 1
+        merged = merge_snapshots({
+            "0": worker(total=[0.020]), "1": {}, "2": None,
+        })
+        assert latency_summary(merged)["total"]["count"] == 1
 
     def test_fleet_summary_shape(self):
-        a = LatencyBoard()
-        for _ in range(10):
-            a["total"].observe(0.004)
-        summary = latency_summary(merge_worker_latency({"0": a.state()}))
-        assert summary["total"]["count"] == 10
-        assert summary["total"]["p95_ms"] > 0
+        fleet = latency_summary(
+            merge_snapshots({"0": worker(total=[0.004] * 10)}))
+        assert fleet["total"]["count"] == 10
+        assert fleet["total"]["p95_ms"] > 0
 
 
 class TestPrometheusRendering:
     def test_merged_series_render_as_histograms(self):
-        a, b = LatencyBoard(), LatencyBoard()
-        for ms in (2, 4, 8):
-            a["total"].observe(ms / 1000)
-            b["total"].observe(ms * 2 / 1000)
-        merged = merge_worker_latency({"0": a.state(), "1": b.state()})
-        buckets, totals = latency_prometheus_series(merged)
-        text = render_prometheus(
-            merge_worker_registries({"0": snapshot(), "1": snapshot()}),
-            latency_buckets=buckets, latency_totals=totals,
-        )
+        text = render_prometheus(merge_snapshots({
+            "0": worker(total=[ms / 1000 for ms in (2, 4, 8)]),
+            "1": worker(total=[ms * 2 / 1000 for ms in (2, 4, 8)]),
+        }))
+        assert "# TYPE repro_service_request_seconds histogram" in text
         assert ('repro_service_request_seconds_bucket'
                 '{le="+Inf",stage="total"} 6') in text
         assert 'repro_service_request_seconds_count{stage="total"} 6' in text
 
     def test_cumulative_counts_monotone(self):
-        hist = LatencyHistogram()
-        for ms in (1, 1, 3, 50, 700):
-            hist.observe(ms / 1000)
-        merged = merge_states([hist.state()])
-        buckets, _ = latency_prometheus_series({"total": merged})
-        series = buckets["total"]
+        merged = merge_snapshots({
+            "0": worker(total=[ms / 1000 for ms in (1, 1, 3, 50, 700)]),
+        })
+        key = f"{REQUEST_SECONDS}{{stage=total}}"
+        series = cumulative_buckets(merged["histograms"][key])
         bounds = [b for b, _ in series]
         counts = [c for _, c in series]
         assert bounds == sorted(bounds)

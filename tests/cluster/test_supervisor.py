@@ -16,15 +16,24 @@ import time
 import pytest
 
 from repro.cluster import BROKEN, READY, ClusterSupervisor
-from repro.cluster.control import send_message
+from repro.cluster.control import FrameDecoder, send_message
+from repro.telemetry import METRICS, Histogram
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="prefork cluster needs os.fork")
 
 
-def obedient_entry(index, control_sock):
-    """Heartbeats until SIGTERM, then drains and exits 0."""
+def one_request_histogram():
+    hist = Histogram()
+    hist.observe(0.002)
+    return hist.to_dict()
+
+
+def obedient_entry(index, control_sock, on_frame=None):
+    """Heartbeats until SIGTERM, then drains and exits 0.  ``on_frame``
+    (if given) answers each supervisor frame read between beats."""
     stop = []
+    decoder = FrameDecoder()
     signal.signal(signal.SIGTERM, lambda *_: stop.append(1))
     send_message(control_sock, {"type": "ready", "slot": index,
                                 "pid": os.getpid(), "port": 40000 + index})
@@ -39,19 +48,41 @@ def obedient_entry(index, control_sock):
                 "metrics": {
                     "counters": {"service.requests{code=ok}": 1},
                     "gauges": {"process.rss_bytes": 1000 + index},
-                    "histograms": {},
+                    "histograms": {
+                        "service.request_seconds{stage=total}":
+                            one_request_histogram(),
+                    },
                 },
-                "latency": {"total": {"buckets": {"8": 1}, "count": 1,
-                                      "sum": 0.002, "max": 0.002}},
             })
         except OSError:
             return 0
         time.sleep(0.03)
+        if on_frame is not None:
+            control_sock.setblocking(False)
+            try:
+                for message in decoder.feed(control_sock.recv(65536)):
+                    on_frame(control_sock, message)
+            except (BlockingIOError, InterruptedError):
+                pass
+            finally:
+                control_sock.setblocking(True)
     try:
         send_message(control_sock, {"type": "drained", "slot": index})
     except OSError:
         pass
     return 0
+
+
+def echo_trace_entry(index, control_sock):
+    """Obedient, and answers ``trace`` debug frames with the trace id it
+    was asked for."""
+    def reply(sock, message):
+        send_message(sock, {
+            "type": "debug_reply", "id": message["id"], "op": message["op"],
+            "body": {"trace_id": message.get("trace_id"), "records": []},
+        })
+
+    return obedient_entry(index, control_sock, on_frame=reply)
 
 
 def crashy_entry(index, control_sock):
@@ -68,9 +99,13 @@ def wait_until(predicate, timeout=15.0, interval=0.02):
     return False
 
 
-def http_get(port, path):
+def http_get(port, path, method="GET", headers=(), request_line=None):
+    """Raw-socket request: ``request_line`` overrides the whole first
+    line; ``headers`` are extra ``"Name: value"`` lines."""
+    first = request_line or f"{method} {path} HTTP/1.1"
+    head = "\r\n".join([first, "Host: t", *headers])
     with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-        sock.sendall(f"GET {path} HTTP/1.1\r\nHost: t\r\n\r\n".encode())
+        sock.sendall(f"{head}\r\n\r\n".encode())
         data = b""
         while True:
             chunk = sock.recv(65536)
@@ -85,6 +120,9 @@ def http_get(port, path):
 def cluster():
     """Factory: a started supervisor + its run() thread; drains on teardown."""
     running = []
+    # The supervisor's own registry is the merge base; start it empty so
+    # fleet counts reflect only the fake workers' heartbeats.
+    METRICS.reset()
 
     def _start(**kwargs):
         kwargs.setdefault("host", "127.0.0.1")
@@ -133,8 +171,16 @@ class TestFleetHealth:
         assert "process.rss_bytes{worker=0}" in registry["gauges"]
         assert "process.rss_bytes{worker=1}" in registry["gauges"]
         assert registry["gauges"]["cluster.worker.up{worker=0}"] == 1
-        # Fleet latency merged bucket-wise across both boards.
-        assert metrics["fleet_latency"]["total"]["count"] == 2
+        # Fleet latency: both workers' request_seconds histograms merged
+        # bucket-wise, with every stage present.
+        fleet = metrics["fleet_latency"]
+        assert set(fleet) == {"total", "queue_wait", "execute"}
+        assert fleet["total"]["count"] == 2
+        assert fleet["total"]["p50_ms"] > 0
+        assert fleet["execute"]["count"] == 0
+        histogram = registry["histograms"][
+            "service.request_seconds{stage=total}"]
+        assert sum(histogram["buckets"].values()) == 2
         assert metrics["requests"]["ok"] == 2
 
     def test_prometheus_exposition(self, cluster):
@@ -147,13 +193,78 @@ class TestFleetHealth:
         assert 'repro_cluster_worker_up{worker="0"} 1' in text
         assert 'repro_cluster_worker_restarts{worker="1"} 0' in text
         assert "repro_service_requests_total" in text
-        assert 'repro_service_request_seconds_bucket' in text
+        assert ("# TYPE repro_service_request_seconds histogram"
+                in text)
+        assert ('repro_service_request_seconds_bucket'
+                '{le="+Inf",stage="total"} 2') in text
+        assert 'repro_service_request_seconds_count{stage="total"} 2' in text
 
     def test_unknown_route_404(self, cluster):
         supervisor, _, _ = cluster(workers=1)
         assert wait_until(lambda: all_ready(supervisor))
         status, _ = http_get(supervisor.control_port, "/nope")
         assert status == 404
+
+
+class TestControlHttp:
+    """The control port answers like the server: 400 for malformed
+    requests and bad parameters, 405 for non-GET, shared negotiation."""
+
+    def test_malformed_request_line_400(self, cluster):
+        supervisor, _, _ = cluster(workers=1)
+        assert wait_until(lambda: all_ready(supervisor))
+        for line in ("GARBAGE", "GET /healthz", "GET /healthz SPDY/3"):
+            status, _ = http_get(supervisor.control_port, None,
+                                 request_line=line)
+            assert status == 400, line
+
+    def test_non_get_405(self, cluster):
+        supervisor, _, _ = cluster(workers=1)
+        assert wait_until(lambda: all_ready(supervisor))
+        for method in ("POST", "DELETE"):
+            status, body = http_get(supervisor.control_port, "/metrics",
+                                    method=method)
+            assert status == 405
+            assert json.loads(body)["error"]
+
+    def test_bad_debug_parameters_400(self, cluster):
+        supervisor, _, _ = cluster(workers=1)
+        assert wait_until(lambda: all_ready(supervisor))
+        for target in ("/debug/requests?limit=many",
+                       "/debug/profile?seconds=soon",
+                       "/debug/profile?seconds=nan",
+                       "/debug/profile?hz=fast",
+                       "/debug/trace/"):
+            status, _ = http_get(supervisor.control_port, target)
+            assert status == 400, target
+
+    def test_trace_id_unquoted(self, cluster):
+        supervisor, _, _ = cluster(workers=1, worker_entry=echo_trace_entry)
+        assert wait_until(lambda: all_ready(supervisor))
+        status, body = http_get(supervisor.control_port,
+                                "/debug/trace/abc%2Fdef%20x")
+        assert status == 200
+        tree = json.loads(body)
+        assert tree["trace_id"] == "abc/def x"
+        assert tree["workers"] == [0]
+
+    def test_metrics_negotiation_matches_server(self, cluster):
+        supervisor, _, _ = cluster(workers=1)
+        assert wait_until(lambda: all(s.metrics for s in supervisor.slots))
+        port = supervisor.control_port
+        for target, headers, prometheus in (
+            ("/metrics", (), False),
+            ("/metrics", ("Accept: text/plain",), True),
+            ("/metrics", ("accept: application/json, text/plain",), False),
+            ("/metrics?format=prometheus", (), True),
+            ("/metrics?format=json", ("Accept: text/plain",), False),
+            ("/metrics?format=weird", ("Accept: text/plain",), False),
+        ):
+            status, body = http_get(port, target, headers=headers)
+            assert status == 200
+            assert body.startswith(b"# TYPE") == prometheus, (target, headers)
+            if not prometheus:
+                assert "fleet_latency" in json.loads(body)
 
 
 class TestRespawn:

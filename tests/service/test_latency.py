@@ -1,57 +1,63 @@
-"""Log-bucket latency histogram: quantiles within bucket resolution."""
+"""Service request latency: the registry's log-bucket histogram, read
+through ``summary`` / ``quantile``, keeps quantiles within bucket
+resolution and reports the ``latency`` stages the server serves."""
 
-from repro.service.latency import LatencyBoard, LatencyHistogram
+from repro.service.server import REQUEST_SECONDS, latency_summary
+from repro.telemetry import Histogram, MetricsRegistry
+from repro.telemetry.metrics import quantile, summary
+
+
+def observed(*seconds):
+    hist = Histogram()
+    for value in seconds:
+        hist.observe(value)
+    return hist.to_dict()
 
 
 class TestLatencyHistogram:
     def test_empty_quantile_is_none(self):
-        hist = LatencyHistogram()
-        assert hist.quantile(0.5) is None
-        assert hist.summary()["count"] == 0
+        hist = Histogram().to_dict()
+        assert quantile(hist, 0.5) is None
+        assert summary(hist)["count"] == 0
+        assert summary(None)["count"] == 0
 
     def test_single_observation(self):
-        hist = LatencyHistogram()
-        hist.observe(0.010)
+        hist = observed(0.010)
         # One sample: every quantile is that sample (within bucket width).
         for q in (0.5, 0.95, 0.99):
-            assert abs(hist.quantile(q) - 0.010) / 0.010 < 0.10
+            assert abs(quantile(hist, q) - 0.010) / 0.010 < 0.10
 
     def test_quantiles_track_distribution(self):
-        hist = LatencyHistogram()
-        for ms in range(1, 101):  # 1..100 ms uniform
-            hist.observe(ms / 1000.0)
-        p50, p99 = hist.quantile(0.50), hist.quantile(0.99)
+        hist = observed(*(ms / 1000.0 for ms in range(1, 101)))  # 1..100 ms
+        p50, p99 = quantile(hist, 0.50), quantile(hist, 0.99)
         assert 0.040 <= p50 <= 0.060
         assert 0.090 <= p99 <= 0.110
-        assert p50 <= hist.quantile(0.95) <= p99
+        assert p50 <= quantile(hist, 0.95) <= p99
 
     def test_quantile_never_exceeds_max(self):
-        hist = LatencyHistogram()
-        hist.observe(0.005)
-        hist.observe(0.005)
-        assert hist.quantile(1.0) <= 0.005 * 1.0001
+        hist = observed(0.005, 0.005)
+        assert quantile(hist, 1.0) <= 0.005 * 1.0001
 
     def test_summary_units_are_ms(self):
-        hist = LatencyHistogram()
-        hist.observe(0.250)
-        summary = hist.summary()
-        assert summary["count"] == 1
-        assert 240 <= summary["p50_ms"] <= 275
-        assert summary["max_ms"] == 250.0
+        result = summary(observed(0.250))
+        assert result["count"] == 1
+        assert 240 <= result["p50_ms"] <= 275
+        assert result["max_ms"] == 250.0
+        assert set(result) == {"count", "sum_ms", "mean_ms", "max_ms",
+                               "p50_ms", "p95_ms", "p99_ms"}
 
     def test_reset(self):
-        hist = LatencyHistogram()
-        hist.observe(1.0)
-        hist.reset()
-        assert hist.count == 0
-        assert hist.quantile(0.5) is None
+        registry = MetricsRegistry()
+        registry.observe(REQUEST_SECONDS, 1.0, labels={"stage": "total"})
+        registry.reset()
+        assert latency_summary(registry.snapshot())["total"]["count"] == 0
 
 
 class TestLatencyBoard:
     def test_named_families(self):
-        board = LatencyBoard()
-        board["total"].observe(0.1)
-        summary = board.summary()
-        assert set(summary) == {"total", "queue_wait", "execute"}
-        assert summary["total"]["count"] == 1
-        assert summary["execute"]["count"] == 0
+        registry = MetricsRegistry()
+        registry.observe(REQUEST_SECONDS, 0.1, labels={"stage": "total"})
+        result = latency_summary(registry.snapshot())
+        assert set(result) == {"total", "queue_wait", "execute"}
+        assert result["total"]["count"] == 1
+        assert result["execute"]["count"] == 0

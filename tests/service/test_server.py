@@ -60,6 +60,24 @@ class TestHappyPath:
                 metrics["process_rss_bytes"] > 1024 * 1024
             )
 
+    def test_one_diagnose_observes_each_stage_once(self, live_server):
+        _, port = live_server(batch_wait_ms=1)
+        key = "service.request_seconds{stage=%s}"
+        with ServiceClient(port=port) as client:
+            client.wait_ready()
+            client.diagnose(small_payload(1))  # warm: compile + cache
+            before = client.metrics()
+            client.diagnose(small_payload(2))
+            after = client.metrics()
+        for stage in ("total", "queue_wait", "execute"):
+            assert (after["latency"][stage]["count"]
+                    - before["latency"][stage]["count"]) == 1, stage
+            hists = [m["registry"]["histograms"][key % stage]
+                     for m in (before, after)]
+            assert hists[1]["count"] - hists[0]["count"] == 1
+            assert (sum(hists[1]["buckets"].values())
+                    - sum(hists[0]["buckets"].values())) == 1
+
     def test_keep_alive_serves_many_requests(self, live_server):
         _, port = live_server(batch_wait_ms=1)
         with ServiceClient(port=port) as client:

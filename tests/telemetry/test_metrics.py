@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
+
+from repro.parallel import fork_available, parallel_map
 from repro.telemetry import (
+    METRICS,
     Histogram,
     MetricsRegistry,
     metric_key,
     split_metric_key,
+)
+from repro.telemetry.metrics import (
+    ZERO_BUCKET,
+    bucket_index,
+    bucket_upper,
+    quantile,
 )
 
 
@@ -68,6 +79,71 @@ class TestHistograms:
         hist.observe(2.0)
         hist.merge(Histogram().to_dict())
         assert hist.count == 1
+
+
+class TestLogBuckets:
+    def test_extremes_land_in_distinct_unclamped_buckets(self):
+        hist = Histogram()
+        for value in (0.0, 1e-6, 1e5):
+            hist.observe(value)
+        buckets = hist.to_dict()["buckets"]
+        assert len(buckets) == 3
+        assert int(min(buckets, key=int)) == ZERO_BUCKET
+        for value in (1e-6, 1e5):
+            index = bucket_index(value)
+            # Each value sits inside its own bucket, not a clamped edge.
+            assert bucket_upper(index - 1) <= value < bucket_upper(index)
+            assert buckets[str(index)] == 1
+
+    def test_nonpositive_values_share_the_zero_bucket(self):
+        assert bucket_index(0.0) == bucket_index(-3.0) == ZERO_BUCKET
+        assert bucket_upper(ZERO_BUCKET) == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_quantiles_within_one_bucket_of_exact(self, seed):
+        rng = np.random.default_rng(seed)
+        samples = rng.lognormal(mean=-4.0, sigma=2.0, size=5000)
+        hist = Histogram()
+        for value in samples:
+            hist.observe(value)
+        for q in (0.5, 0.9, 0.95, 0.99, 1.0):
+            exact = float(np.quantile(samples, q, method="inverted_cdf"))
+            estimate = quantile(hist.to_dict(), q)
+            assert exact <= estimate <= exact * 1.091
+
+    def test_diff_then_merge_keeps_buckets(self):
+        reg = MetricsRegistry()
+        reg.observe("h", 1.0)
+        before = reg.snapshot()
+        reg.observe("h", 1.0)
+        reg.observe("h", 300.0)
+        delta = reg.diff(before)["histograms"]["h"]
+        assert delta["buckets"] == {str(bucket_index(1.0)): 1,
+                                    str(bucket_index(300.0)): 1}
+        other = MetricsRegistry()
+        other.merge(before)
+        other.merge({"histograms": {"h": delta}})
+        assert other.snapshot()["histograms"]["h"] == \
+            reg.snapshot()["histograms"]["h"]
+
+
+def _observe_task(i: int) -> int:
+    METRICS.observe("forktest.hist", 0.5 * 1.7 ** i)
+    return i
+
+
+@pytest.mark.skipif(not fork_available(),
+                    reason="fork start method unavailable")
+def test_fork_workers_yield_serial_buckets():
+    parallel_map(_observe_task, 24, workers=1)
+    serial = METRICS.snapshot()["histograms"]["forktest.hist"]
+    METRICS.reset()
+    parallel_map(_observe_task, 24, workers=2, min_items=2)
+    assert METRICS.counter_total("pool.tasks") == 24  # really forked
+    forked = METRICS.snapshot()["histograms"]["forktest.hist"]
+    assert forked["count"] == serial["count"] == 24
+    assert forked["buckets"] == serial["buckets"]
+    assert (forked["min"], forked["max"]) == (serial["min"], serial["max"])
 
 
 class TestSnapshotAlgebra:

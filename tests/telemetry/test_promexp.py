@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import re
 
-from repro.service.latency import LatencyBoard
 from repro.telemetry import METRICS, render_prometheus, sanitize_metric_name
+from repro.telemetry.metrics import quantile
 
 _NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
 _TYPE_LINE = re.compile(rf"^# TYPE ({_NAME}) (counter|gauge|summary|histogram)$")
@@ -50,7 +50,7 @@ def _parse(text):
             labels = dict(_LABEL.findall(body))
         samples.append((name, labels, value))
     for name, _labels, _value in samples:
-        base = re.sub(r"_(total|sum|count|bucket|min|max)$", "", name)
+        base = re.sub(r"_(total|sum|count|bucket)$", "", name)
         assert name in families or base in families, (
             f"sample {name!r} has no # TYPE family"
         )
@@ -86,14 +86,19 @@ class TestRegistryRendering:
         assert families["repro_pool_utilization"] == "gauge"
         assert ("repro_pool_utilization", {}, "0.75") in samples
 
-        assert families["repro_service_batch_size"] == "summary"
+        # Registry histograms are real Prometheus histograms: one
+        # bucket per occupied log bucket (4 and 8 sit an octave apart),
+        # closed by +Inf at the count.
+        assert families["repro_service_batch_size"] == "histogram"
         by_name = {name: value for name, labels, value in samples}
         assert by_name["repro_service_batch_size_sum"] == "12"
         assert by_name["repro_service_batch_size_count"] == "2"
-        # min/max ride along as companion gauges.
-        assert families["repro_service_batch_size_min"] == "gauge"
-        assert by_name["repro_service_batch_size_min"] == "4"
-        assert by_name["repro_service_batch_size_max"] == "8"
+        buckets = [(labels["le"], value) for name, labels, value in samples
+                   if name == "repro_service_batch_size_bucket"]
+        assert [value for _, value in buckets] == ["1", "2", "2"]
+        assert buckets[-1][0] == "+Inf"
+        assert 4 <= float(buckets[0][0]) < 4 * 2 ** (1 / 8)
+        assert "repro_service_batch_size_min" not in families
 
     def test_label_values_escaped(self):
         METRICS.incr("odd.counter", 1, labels={"path": 'a"b\\c'})
@@ -128,15 +133,12 @@ class TestRegistryRendering:
 
 class TestLatencyHistogramRendering:
     def test_buckets_are_cumulative_with_inf_terminal(self):
-        board = LatencyBoard(names=("total", "execute"))
         for ms in (0.5, 2.0, 2.1, 50.0):
-            board["total"].observe(ms / 1000)
-        board["execute"].observe(0.001)
-        buckets, totals = board.prometheus_series()
-        families, samples = _parse(render_prometheus(
-            {"counters": {}, "gauges": {}, "histograms": {}},
-            latency_buckets=buckets, latency_totals=totals,
-        ))
+            METRICS.observe("service.request_seconds", ms / 1000,
+                            labels={"stage": "total"})
+        METRICS.observe("service.request_seconds", 0.001,
+                        labels={"stage": "execute"})
+        families, samples = _parse(render_prometheus(METRICS.snapshot()))
         metric = "repro_service_request_seconds"
         assert families[metric] == "histogram"
 
@@ -168,14 +170,21 @@ class TestLatencyHistogramRendering:
         assert math.isclose(total_sum, 0.0546, rel_tol=1e-6)
 
     def test_quantile_consistency_with_board(self):
-        board = LatencyBoard(names=("total",))
         for i in range(100):
-            board["total"].observe(0.001 * (i + 1))
-        buckets, totals = board.prometheus_series()
-        series = buckets["total"]
-        # Bucket upper bound holding the p95 must match the board's own
-        # estimate (same data, same buckets).
-        p95 = board["total"].quantile(0.95)
+            METRICS.observe("service.request_seconds", 0.001 * (i + 1),
+                            labels={"stage": "total"})
+        snap = METRICS.snapshot()
+        _, samples = _parse(render_prometheus(snap))
+        series = [
+            (float(labels["le"]), int(value))
+            for name, labels, value in samples
+            if name == "repro_service_request_seconds_bucket"
+            and labels["le"] != "+Inf"
+        ]
+        # The exposed bucket holding the p95 must match the registry's
+        # own estimate (same data, same buckets).
+        p95 = quantile(
+            snap["histograms"]["service.request_seconds{stage=total}"], 0.95)
         rank = 95
         holding = next(b for b, c in series if c >= rank)
-        assert math.isclose(min(holding, 0.1), p95, rel_tol=1e-9)
+        assert math.isclose(min(holding, 0.1), p95, rel_tol=1e-6)
