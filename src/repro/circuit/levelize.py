@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Sequence, Set
 
-from .netlist import Netlist, NetlistError
+from .netlist import GateType, Netlist, NetlistError
 
 
 def topological_order(netlist: Netlist) -> List[str]:
@@ -18,29 +18,49 @@ def topological_order(netlist: Netlist) -> List[str]:
 
     ``INPUT`` and ``DFF`` nets (the combinational sources) come first.
     Kahn's algorithm; deterministic given the netlist insertion order.
-    Raises :class:`NetlistError` when combinational gates form a loop.
+    Raises :class:`NetlistError` naming a net on a cycle when combinational
+    gates form a loop.
     """
+    gates = netlist.gates
+    source_types = (GateType.INPUT, GateType.DFF)
     indegree: Dict[str, int] = {}
-    fanout: Dict[str, List[str]] = {net: [] for net in netlist.gates}
-    for net, gate in netlist.gates.items():
-        if gate.gtype.is_combinational:
+    fanout: Dict[str, List[str]] = {net: [] for net in gates}
+    order: List[str] = []
+    for net, gate in gates.items():
+        if gate.gtype in source_types:
+            indegree[net] = 0
+            order.append(net)
+        else:
             indegree[net] = len(gate.fanins)
             for src in gate.fanins:
                 fanout[src].append(net)
-        else:
-            indegree[net] = 0
-    ready = deque(net for net, deg in indegree.items() if deg == 0)
-    order: List[str] = []
-    while ready:
-        net = ready.popleft()
-        order.append(net)
+    # ``order`` doubles as Kahn's FIFO queue: iterating a list sees the
+    # items appended during the loop.
+    for net in order:
         for succ in fanout[net]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                ready.append(succ)
-    if len(order) != len(netlist.gates):
-        raise NetlistError("netlist has a combinational loop")
+            remaining = indegree[succ] - 1
+            indegree[succ] = remaining
+            if not remaining:
+                order.append(succ)
+    if len(order) != len(gates):
+        raise NetlistError(
+            f"combinational loop through net {_net_on_cycle(netlist, indegree)!r}"
+        )
     return order
+
+
+def _net_on_cycle(netlist: Netlist, indegree: Dict[str, int]) -> str:
+    """A net on a combinational cycle, given the in-degrees Kahn's sort
+    left behind.  Every unordered gate has an unordered fanin (else its
+    in-degree would have reached zero), so walking unordered fanins from
+    any unordered gate must repeat a net — and a net that repeats lies on
+    the cycle, never on a gate merely hanging downstream of it."""
+    net = next(net for net, deg in indegree.items() if deg)
+    seen: Set[str] = set()
+    while net not in seen:
+        seen.add(net)
+        net = next(src for src in netlist.gates[net].fanins if indegree[src])
+    return net
 
 
 def levelize(netlist: Netlist) -> Dict[str, int]:
@@ -53,17 +73,6 @@ def levelize(netlist: Netlist) -> Dict[str, int]:
         else:
             levels[net] = 0
     return levels
-
-
-def level_array(netlist: Netlist, order: Sequence[str]) -> List[int]:
-    """Combinational depth of each net of ``order`` (sources at 0).
-
-    The :func:`levelize` map flattened onto an explicit net ordering —
-    typically ``CompiledCircuit.net_order`` — so array-based consumers
-    (the SoA schedule builder) can index levels by value-plane row.
-    """
-    levels = levelize(netlist)
-    return [levels[net] for net in order]
 
 
 def fanout_cone(netlist: Netlist, root: str) -> Set[str]:

@@ -24,7 +24,6 @@ import numpy as np
 
 from ..atpg.podem import atpg_campaign
 from ..circuit.library import get_circuit
-from ..sim.faults import collapse_faults
 from ..soc.core_wrapper import EmbeddedCore
 from .config import ExperimentConfig, default_config
 from .reporting import render_table
@@ -86,9 +85,9 @@ def run_atpg_topup(
             num_patterns=config.num_patterns,
         )
         rng = np.random.default_rng(config.fault_seed ^ hash_name(name))
-        faults = collapse_faults(core.netlist)
-        rng.shuffle(faults)
-        sample = faults[: config.faults_for(name) * 2]
+        universe = core.collapsed_faults()
+        order = rng.permutation(len(universe))
+        sample = [universe[i] for i in order[: config.faults_for(name) * 2]]
         detected = 0
         missed_faults = []
         for fault in sample:

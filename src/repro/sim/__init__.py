@@ -14,11 +14,18 @@ from .bitops import (
 )
 from .error_injection import inject_clustered_errors, inject_random_errors
 from .coverage import CoverageReport, FaultProfile, coverage_report, profile_fault
-from .faults import Fault, collapse_faults, full_fault_list, sample_faults
+from .faults import (
+    CollapsedFaults,
+    Fault,
+    collapse_faults,
+    full_fault_list,
+    sample_faults,
+)
 from .faultsim import FaultResponse, FaultSimulator, merge_responses
 from .logicsim import CompiledCircuit, SimResult
 
 __all__ = [
+    "CollapsedFaults",
     "CompiledCircuit",
     "Fault",
     "FaultResponse",

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .bitops import WORD_BITS, popcount
-from .faults import Fault, collapse_faults
+from .faults import CollapsedFaults, Fault, sample_faults
 from .faultsim import FaultResponse, FaultSimulator
 
 
@@ -115,12 +115,11 @@ def coverage_report(
 ) -> CoverageReport:
     """Profile every (or a sample of the) collapsed fault universe."""
     if faults is None:
-        faults = collapse_faults(simulator.compiled.netlist)
-    faults = list(faults)
-    if max_faults is not None and len(faults) > max_faults:
-        rng = rng or np.random.default_rng(0)
-        idx = rng.choice(len(faults), size=max_faults, replace=False)
-        faults = [faults[i] for i in sorted(idx)]
+        faults = CollapsedFaults(simulator.compiled.netlist)
+    if max_faults is not None:
+        faults = sample_faults(faults, max_faults, rng or np.random.default_rng(0))
+    else:
+        faults = list(faults)
     profiles = [
         profile_fault(simulator.simulate_fault(fault)) for fault in faults
     ]

@@ -77,13 +77,9 @@ class FaultSimulator:
 
     def _build_fanout_index(self) -> Dict[int, List[int]]:
         fanout: Dict[int, List[int]] = {}
-        netlist = self.compiled.netlist
-        for net, gate in netlist.gates.items():
-            if not gate.gtype.is_combinational:
-                continue
-            out_idx = self.compiled.net_index[net]
-            for src in gate.fanins:
-                fanout.setdefault(self.compiled.net_index[src], []).append(out_idx)
+        for out_idx, _op, _invert, fanins in self.compiled._ops:
+            for src in fanins:
+                fanout.setdefault(src, []).append(out_idx)
         return fanout
 
     def _build_levels(self) -> np.ndarray:

@@ -90,16 +90,24 @@ class CompiledCircuit:
             [self.net_index[n] for n in netlist.outputs], dtype=np.int64
         )
 
-        # Compile combinational gates in topological order.
+        # Compile combinational gates in topological order, levelizing as
+        # we go: every fanin's level is known before its gate is reached.
         ops: List[Tuple[int, int, bool, Tuple[int, ...]]] = []
-        for net in topo:
-            gate = netlist.gates[net]
+        net_index = self.net_index
+        gates = netlist.gates
+        levels = [0] * len(topo)
+        for row, net in enumerate(topo):
+            gate = gates[net]
             if not gate.gtype.is_combinational:
                 continue
             op, invert = _BASE_OP[gate.gtype]
-            fanin_idx = tuple(self.net_index[f] for f in gate.fanins)
-            ops.append((self.net_index[net], op, invert, fanin_idx))
+            fanin_idx = tuple([net_index[f] for f in gate.fanins])
+            levels[row] = 1 + max([levels[src] for src in fanin_idx])
+            ops.append((row, op, invert, fanin_idx))
         self._ops = ops
+        #: ``(num_nets,)`` int32 — combinational depth per value-plane row
+        #: (sources at 0).
+        self.level_of = np.array(levels, dtype=np.int32)
         self._ops_by_net: Dict[int, Tuple[int, int, bool, Tuple[int, ...]]] = {
             entry[0]: entry for entry in ops
         }

@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..circuit.levelize import level_array
 from ..telemetry import METRICS, warn_env_once  # noqa: F401 - re-exported
                                                 # for legacy importers
 
@@ -155,9 +154,7 @@ def structural_digest(compiled) -> str:
 
 def build_schedule(compiled, digest: Optional[str] = None) -> SoASchedule:
     """Compile the per-gate ops list into a level-group schedule."""
-    level_of = np.array(
-        level_array(compiled.netlist, compiled.net_order), dtype=np.int32
-    )
+    level_of = compiled.level_of
     buckets: Dict[Tuple[int, int, int], List[Tuple[int, bool, Tuple[int, ...]]]]
     buckets = {}
     for out_idx, op, invert, fanins in compiled._ops:

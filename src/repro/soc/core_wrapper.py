@@ -17,7 +17,7 @@ import numpy as np
 
 from ..bist.patterns import fast_pattern_matrices
 from ..circuit.netlist import Netlist
-from ..sim.faults import Fault, collapse_faults
+from ..sim.faults import CollapsedFaults
 from ..sim.faultsim import FaultResponse, FaultSimulator
 from ..sim.logicsim import CompiledCircuit, SimResult
 
@@ -55,7 +55,7 @@ class EmbeddedCore:
         self.num_patterns = num_patterns
         self.pattern_seed = pattern_seed
         self.num_cells = netlist.num_flip_flops
-        self._collapsed: Optional[List[Fault]] = None
+        self._collapsed: Optional[CollapsedFaults] = None
 
     @cached_property
     def compiled(self) -> CompiledCircuit:
@@ -76,9 +76,10 @@ class EmbeddedCore:
     def fault_simulator(self) -> FaultSimulator:
         return FaultSimulator(self.compiled, self.good)
 
-    def collapsed_faults(self) -> List[Fault]:
+    def collapsed_faults(self) -> CollapsedFaults:
+        """The core's collapsed fault universe, indexed lazily."""
         if self._collapsed is None:
-            self._collapsed = collapse_faults(self.netlist)
+            self._collapsed = CollapsedFaults(self.netlist)
         return self._collapsed
 
     def sample_fault_responses(
@@ -93,15 +94,14 @@ class EmbeddedCore:
         list is exhausted — mirroring the paper's "inject 500 single
         stuck-at faults" protocol, where undetected faults contribute
         nothing to DR."""
-        # Compile and simulate the golden run before collapsing: the
-        # compile's temporaries are then freed before the fault universe
-        # is built, which keeps the peak resident set down.
         simulator = self.fault_simulator
-        universe = list(self.collapsed_faults())
-        rng.shuffle(universe)
+        universe = self.collapsed_faults()
+        # The shuffle permutes indices, drawing exactly what shuffling the
+        # fault list would; only the faults of simulated slabs are built.
+        order = rng.permutation(len(universe))
         responses: List[FaultResponse] = []
         pos = 0
-        while pos < len(universe) and len(responses) < count:
+        while pos < len(order) and len(responses) < count:
             # Simulate a slab at a time so the fault-batched kernel (and
             # the worker pool) serve the sampling loop; selection still
             # follows shuffle order exactly, so the chosen responses are
@@ -109,7 +109,7 @@ class EmbeddedCore:
             # simulate a few faults past ``count`` — undetected faults
             # make that unavoidable anyway.
             need = count - len(responses)
-            slab = universe[pos:pos + max(need, _SAMPLE_SLAB_MIN)]
+            slab = [universe[i] for i in order[pos:pos + max(need, _SAMPLE_SLAB_MIN)]]
             pos += len(slab)
             for response in simulator.simulate_faults(slab):
                 if detected_only and not response.detected:

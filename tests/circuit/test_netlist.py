@@ -91,6 +91,20 @@ class TestNetlist:
         with pytest.raises(NetlistError, match="loop"):
             net.validate()
 
+    def test_loop_error_names_a_net_on_the_cycle(self):
+        # D hangs downstream of the X -> Y -> Z loop: Kahn's sort leaves it
+        # unordered too, but it is not on the cycle and must not be named.
+        net = Netlist("loop")
+        net.add_input("A")
+        net.add_gate("D", GateType.NAND, ["Z", "A"])
+        net.add_gate("X", GateType.AND, ["A", "Z"])
+        net.add_gate("Y", GateType.OR, ["X", "A"])
+        net.add_gate("Z", GateType.NOT, ["Y"])
+        net.add_output("D")
+        with pytest.raises(NetlistError,
+                           match=r"combinational loop through net '[XYZ]'"):
+            net.validate()
+
     def test_combinational_loop_rejected_at_compile(self):
         from repro.sim.logicsim import CompiledCircuit
 

@@ -41,13 +41,13 @@ class TestLazyCore:
 
     def test_state_built_once(self, compile_count, monkeypatch):
         collapses = {"n": 0}
-        original = core_wrapper.collapse_faults
+        original = core_wrapper.CollapsedFaults
 
         def counting(netlist):
             collapses["n"] += 1
             return original(netlist)
 
-        monkeypatch.setattr(core_wrapper, "collapse_faults", counting)
+        monkeypatch.setattr(core_wrapper, "CollapsedFaults", counting)
         core = make_core()
         simulator = core.fault_simulator
         assert core.fault_simulator is simulator
