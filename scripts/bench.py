@@ -808,7 +808,7 @@ def traced_rollup(circuits, config, num_partitions):
     Runs after the timing passes so trace overhead never touches the
     recorded wall clocks.
     """
-    telemetry.TRACER.reset()
+    telemetry.FLIGHT.reset()
     was_enabled = telemetry.trace_enabled()
     telemetry.enable_tracing()
     try:

@@ -73,8 +73,13 @@ def main(argv=None):
                 errors.append(f"kernels.{field}: missing or empty")
     trace_summary = None
     if args.require_trace:
-        trace_errors, trace_summary = _check_trace(_load_spans(manifest, path))
-        errors.extend(trace_errors)
+        try:
+            spans = _load_spans(manifest, path)
+        except ValueError as exc:
+            errors.append(f"spans: {exc}")
+        else:
+            trace_errors, trace_summary = _check_trace(spans)
+            errors.extend(trace_errors)
     if args.require_profile:
         profile = manifest.get("profile")
         if not isinstance(profile, dict) or not profile.get("enabled"):
@@ -98,14 +103,15 @@ def main(argv=None):
 
 
 def _load_spans(manifest, manifest_path):
-    """The manifest's span trees, inline or via its ``trace_file``.
+    """The manifest's span records, inline or via its ``trace_file``.
 
     Manifests stay lean — they embed the aggregated ``span_rollup`` and
-    point at the full tree through ``trace_file`` (one root span JSON
-    object per line, children nested).  Accept inline ``spans`` too so
-    hand-built manifests can be checked without a side file.  Relative
-    ``trace_file`` paths resolve against the manifest's directory first
-    (the CLI writes both files side by side), then the cwd.
+    point at the span log through ``trace_file`` (one span record per
+    line).  Accept inline ``spans`` too so hand-built manifests can be
+    checked without a side file.  Relative ``trace_file`` paths resolve
+    against the manifest's directory first (the CLI writes both files
+    side by side), then the cwd.  Raises ``ValueError`` naming the file
+    (and line) when the span log cannot be read or parsed.
     """
     inline = manifest.get("spans")
     if isinstance(inline, list) and inline:
@@ -120,15 +126,17 @@ def _load_spans(manifest, manifest_path):
         except OSError:
             continue
         spans = []
-        for line in lines:
+        for number, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
                 spans.append(json.loads(line))
-            except json.JSONDecodeError:
-                return []
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{candidate}:{number}: corrupt span record ({exc})")
         return spans
-    return []
+    raise ValueError(f"cannot read trace_file {trace_file!r} (tried "
+                     + ", ".join(str(c) for c in candidates) + ")")
 
 
 def _hexid(value, width):
@@ -141,7 +149,8 @@ def _hexid(value, width):
 
 
 def _check_trace(spans):
-    """Validate trace context across the manifest's span trees.
+    """Validate trace context across the manifest's span records (flat,
+    or trees nested through ``children``).
 
     Returns ``(errors, summary_line)``.  Every span must carry a non-zero
     32-hex ``trace_id`` and a unique non-zero 16-hex ``span_id``; following

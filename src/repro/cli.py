@@ -206,6 +206,7 @@ def experiment_main(argv: Optional[List[str]] = None) -> int:
         overrides = {"num_faults": 10, "num_faults_large": 5}
     config = default_config(**overrides)
     names = sorted(EXPERIMENT_RUNNERS) if args.name == "all" else [args.name]
+    mark = telemetry.FLIGHT.recorded
     try:
         for name in names:
             telemetry.log(f"running {name} ...")
@@ -225,18 +226,27 @@ def experiment_main(argv: Optional[List[str]] = None) -> int:
             f"({telemetry.PROFILER.data.total} samples; render with "
             f"flamegraph.pl or speedscope)")
     if tracing:
-        _export_run_telemetry(args, config, profile_path)
+        _export_run_telemetry(args, config, mark, profile_path)
     return 0
 
 
 def _export_run_telemetry(
-    args: Any, config: Any, profile_path: Optional[Path] = None
+    args: Any, config: Any, mark: int, profile_path: Optional[Path] = None
 ) -> None:
     """Dump the span tree to stderr and write trace.jsonl + manifest.json
-    next to the experiment output (cwd unless overridden)."""
-    telemetry.print_span_tree()
+    next to the experiment output (cwd unless overridden), from the span
+    records filed since the flight recorder's counter read ``mark``."""
+    records = telemetry.FLIGHT.since(mark)
+    lost = telemetry.FLIGHT.recorded - mark - len(records)
+    if lost:
+        telemetry.log(f"warning: the flight recorder ring wrapped; {lost} "
+                      "span records were lost (raise REPRO_FLIGHT_SPANS)")
+    if not telemetry.FLIGHT.enabled:
+        telemetry.log("warning: REPRO_FLIGHT_SPANS=0 keeps no span records; "
+                      "the trace is empty")
+    telemetry.print_span_tree(records=records)
     trace_path = Path(args.trace_out or "trace.jsonl")
-    telemetry.write_trace_jsonl(trace_path)
+    telemetry.write_trace_jsonl(trace_path, records)
     extra: Dict[str, Any] = {"trace_file": str(trace_path)}
     if profile_path is not None:
         extra["profile_file"] = str(profile_path)
@@ -245,6 +255,7 @@ def _export_run_telemetry(
         config=config,
         seed=getattr(config, "fault_seed", None),
         extra=extra,
+        spans=records,
     )
     manifest_path = Path(args.manifest or "manifest.json")
     telemetry.write_manifest(manifest_path, manifest)
@@ -426,12 +437,12 @@ def _load_telemetry(path: Path):
             f"{path} is empty (did the traced run crash before exporting?)")
     if path.suffix == ".jsonl":
         try:
-            spans = telemetry.read_trace_jsonl(path)
+            rollup = telemetry.span_rollup(telemetry.read_trace_jsonl(path))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise TelemetryFileError(
                 f"{path} is not a valid span log (truncated or corrupt "
                 f"line?): {exc}") from exc
-        return telemetry.span_rollup(spans), None, None
+        return rollup, None, None
     try:
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as exc:

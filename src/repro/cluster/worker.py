@@ -206,7 +206,6 @@ async def _run_worker(
         seq = 0
         while True:
             seq += 1
-            flight = FLIGHT.snapshot(limit=1)
             alive = await send({
                 "type": "heartbeat",
                 "seq": seq,
@@ -216,8 +215,8 @@ async def _run_worker(
                 "queue_depth": server.queue.depth,
                 "requests": dict(server._request_counts),
                 "metrics": METRICS.snapshot(),
-                "flight": {"recorded": flight["recorded"],
-                           "capacity": flight["capacity"]},
+                "flight": {"recorded": FLIGHT.recorded,
+                           "capacity": FLIGHT.capacity},
             })
             if not alive:
                 # Supervisor died; drain and exit instead of serving as

@@ -15,13 +15,15 @@ pipe.  Chunks are contiguous and reassembled in index order, so results are
 bit-identical to the serial path.
 
 Telemetry crosses the fork boundary explicitly (a forked child's counters
-and spans live in *its* copy of the process): each chunk snapshots the
-:data:`repro.telemetry.METRICS` registry before and after the work and
-ships the delta — plus any spans closed inside the chunk — back with the
-results; the parent folds deltas into its registry and re-attaches worker
-spans under the calling span.  The pool itself reports ``pool.*`` metrics:
-chunks and tasks per worker process, chunk sizes, per-chunk busy time, and
-(when tracing) result payload bytes and pickling time.
+and span records live in *its* copy of the process): each chunk snapshots
+the :data:`repro.telemetry.METRICS` registry before and after the work
+and ships the delta — plus the span records it filed, read off the
+flight recorder's ``recorded`` counter — back with the results; the
+parent folds deltas into its registry and files the records in its own
+recorder.  Worker spans keep the parentage they were given in the child
+(``pool.chunk`` under ``pool.map``).  The pool itself reports ``pool.*``
+metrics: chunks and tasks per worker process, chunk sizes, per-chunk busy
+time, and (when tracing) result payload bytes and pickling time.
 """
 
 from __future__ import annotations
@@ -38,11 +40,9 @@ from .telemetry import (
     FLIGHT,
     METRICS,
     PROFILER,
-    TRACER,
     current_trace,
-    make_record,
-    new_span_id,
     span,
+    trace_enabled,
 )
 
 #: Populations smaller than this never fork (the pool costs more than it saves).
@@ -72,10 +72,11 @@ class Codec(NamedTuple):
 
 _ACTIVE_TASK: Optional[Callable[[int], Any]] = None
 _ACTIVE_CODEC: Optional[Codec] = None
-#: ``(trace_id, parent_span_id)`` of the request/batch span active when
-#: the pool was created.  A contextvar cannot carry this into the forked
-#: child's worker (the executor runs chunks outside the submitting
-#: context), so it rides the same fork-inheritance path as the task.
+#: ``(trace_id, span_id)`` of the ``pool.map`` span (or of the request's
+#: batch span when tracing is off).  A contextvar cannot carry this into
+#: the forked child's worker (the executor runs chunks outside the
+#: submitting context), so it rides the same fork-inheritance path as the
+#: task.
 _ACTIVE_TRACE: Optional[Tuple[str, str]] = None
 
 
@@ -109,11 +110,13 @@ def _run_chunk(indices: Sequence[int]) -> Tuple[List[Any], Dict[str, Any]]:
 
     Runs in the forked child.  The returned payload is the fork-merge
     protocol: metric deltas (registry activity during this chunk only —
-    the worker may serve many chunks), worker-local spans as dicts, the
-    worker pid, and the chunk's busy wall time.
+    the worker may serve many chunks), the span records the chunk filed,
+    the worker pid, and the chunk's busy wall time.  The chunk is a
+    ``pool.chunk`` span whenever the pool runs under a trace context.
     """
     assert _ACTIVE_TASK is not None, "worker forked outside parallel_map"
     before = METRICS.snapshot()
+    mark = FLIGHT.recorded
     # A parent that was profiling at fork time needs its sampler restarted
     # here (interval timers and sampler threads die with the fork); the
     # chunk's sample delta rides back with the metric delta below.
@@ -121,36 +124,27 @@ def _run_chunk(indices: Sequence[int]) -> Tuple[List[Any], Dict[str, Any]]:
         PROFILER.data.snapshot() if PROFILER.resume_after_fork() else None
     )
     started = time.perf_counter()
-    if TRACER.enabled:
-        with TRACER.capture() as worker_spans:
-            results = [_ACTIVE_TASK(i) for i in indices]
-        span_dicts = [s.to_dict() for s in worker_spans]
-    else:
+    if _ACTIVE_TRACE is None:
         results = [_ACTIVE_TASK(i) for i in indices]
-        span_dicts = []
+    else:
+        with span("pool.chunk", kind="chunk", parent=_ACTIVE_TRACE,
+                  tasks=len(indices)):
+            results = [_ACTIVE_TASK(i) for i in indices]
     busy_s = time.perf_counter() - started
     payload: Dict[str, Any] = {
         "pid": os.getpid(),
         "busy_s": busy_s,
         "tasks": len(indices),
         "metrics": METRICS.diff(before),
-        "spans": span_dicts,
+        "spans": FLIGHT.since(mark),
     }
-    if _ACTIVE_TRACE is not None and FLIGHT.enabled:
-        trace_id, parent_span = _ACTIVE_TRACE
-        payload["flight_spans"] = [make_record(
-            "pool.chunk", trace_id, new_span_id(),
-            parent_id=parent_span, kind="chunk",
-            start=time.time() - busy_s, duration_ms=busy_s * 1000,
-            tasks=len(indices),
-        )]
     if profile_before is not None:
         payload["profile"] = PROFILER.data.diff(profile_before)
     if _ACTIVE_CODEC is not None:
         results = _ACTIVE_CODEC.encode(results)
         if _ACTIVE_CODEC.nbytes is not None:
             payload["transport_bytes"] = _ACTIVE_CODEC.nbytes(results)
-    if TRACER.enabled:
+    if trace_enabled():
         # Serialization cost of the results themselves (the executor will
         # pickle them again for the pipe; measuring here costs one extra
         # dumps pass, which is why it is trace-gated).
@@ -179,9 +173,8 @@ def _absorb_payloads(payloads: Sequence[Dict[str, Any]], wall_s: float) -> None:
     busy_total = 0.0
     for payload in payloads:
         METRICS.merge(payload.get("metrics"))
-        TRACER.adopt(payload.get("spans", []))
+        FLIGHT.record_many(payload.get("spans", ()))
         PROFILER.data.merge(payload.get("profile"))
-        FLIGHT.record_many(payload.get("flight_spans", ()))
         pid = payload.get("pid")
         if pid not in worker_index:
             # Stable worker labels (pids vary run to run, enumeration
@@ -234,11 +227,11 @@ def parallel_map(
     context = multiprocessing.get_context("fork")
     _ACTIVE_TASK = task
     _ACTIVE_CODEC = codec
-    _ACTIVE_TRACE = current_trace()
     chunks = _chunk_indices(num_items, workers)
     started = time.perf_counter()
     try:
         with span("pool.map", items=num_items, workers=workers, chunks=len(chunks)):
+            _ACTIVE_TRACE = current_trace()
             with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
                 chunk_results = list(pool.map(_run_chunk, chunks))
             _absorb_payloads(

@@ -26,7 +26,6 @@ about to use) until the cache's byte estimate fits.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
@@ -50,15 +49,7 @@ from ..experiments.runner import (
 from ..sim.bitops import num_words
 from ..sim.faults import Fault
 from ..sim.faultsim import FaultResponse
-from ..telemetry import (
-    FLIGHT,
-    METRICS,
-    log,
-    make_record,
-    new_span_id,
-    span,
-    trace_scope,
-)
+from ..telemetry import METRICS, log, span
 from .protocol import DiagnoseReply, DiagnoseRequest, ServiceError
 
 #: A batch slot resolves to either a reply or a per-request error.
@@ -187,10 +178,10 @@ class DiagnosisEngine:
         index-aligned with ``requests``.
 
         ``traces`` (optional, index-aligned) carries each member's
-        ``(trace_id, server_span_id)``; the engine then records one batch
-        flight span — child of the head member's server span, *linked* to
-        every other member's — and runs the kernel under that trace
-        context so fork-chunk spans nest beneath it.
+        ``(trace_id, server_span_id)``; the batch span is then a child of
+        the head member's server span, *linked* to every other member's,
+        and the kernel runs under it so kernel and fork-chunk spans nest
+        beneath it.
         """
         if not requests:
             return []
@@ -215,7 +206,7 @@ class DiagnosisEngine:
 
         live = [i for i, r in enumerate(responses) if r is not None]
         if live:
-            diagnosed = self._diagnose_traced(
+            diagnosed = self._diagnose_many(
                 [responses[i] for i in live], context, requests[0],
                 self._live_traces(traces, live),
             )
@@ -278,46 +269,14 @@ class DiagnosisEngine:
         return [traces[i] for i in live
                 if i < len(traces) and traces[i] is not None]
 
-    def _diagnose_traced(
-        self,
-        responses: List[FaultResponse],
-        context: WorkloadContext,
-        head: DiagnoseRequest,
-        trace_pairs: List[Tuple[str, str]],
-    ) -> List[Union[DiagnosisResult, ServiceError]]:
-        """Run the batch, recording one flight span linked to every member
-        trace and installing the trace context for the fork fan-out."""
-        if not trace_pairs or not FLIGHT.enabled:
-            return self._diagnose_many(responses, context, head)
-        head_trace, head_span = trace_pairs[0]
-        batch_span = new_span_id()
-        start_wall = time.time()
-        t0 = time.perf_counter()
-        with trace_scope(head_trace, batch_span):
-            outcomes = self._diagnose_many(responses, context, head)
-        failed = sum(1 for o in outcomes if isinstance(o, ServiceError))
-        FLIGHT.record(make_record(
-            "service.batch", head_trace, batch_span,
-            parent_id=head_span, kind="batch",
-            key=f"{head.circuit}/{head.scheme}",
-            start=start_wall,
-            duration_ms=(time.perf_counter() - t0) * 1000,
-            status="ok" if not failed else "internal_error",
-            links=[{"trace_id": t, "span_id": s}
-                   for t, s in trace_pairs[1:]],
-            batch_size=len(responses),
-            circuit=head.circuit,
-            scheme=head.scheme,
-        ))
-        return outcomes
-
     def _diagnose_many(
         self,
         responses: List[FaultResponse],
         context: WorkloadContext,
         head: DiagnoseRequest,
+        trace_pairs: Sequence[Tuple[str, str]],
     ) -> List[Union[DiagnosisResult, ServiceError]]:
-        """One fused kernel launch per coalesced batch.
+        """One fused kernel launch per coalesced batch, in one batch span.
 
         The whole batch goes through
         :func:`repro.core.diagnosis_batch.diagnose_population` — a dynamic
@@ -335,8 +294,13 @@ class DiagnosisEngine:
             )
 
         workers = 0 if self._serial_only else self.workers
-        with span("service.batch", circuit=head.circuit, scheme=head.scheme,
-                  size=len(responses)):
+        with span("service.batch", kind="batch",
+                  parent=trace_pairs[0] if trace_pairs else None,
+                  key=f"{head.circuit}/{head.scheme}",
+                  links=[{"trace_id": t, "span_id": s}
+                         for t, s in trace_pairs[1:]],
+                  batch_size=len(responses), circuit=head.circuit,
+                  scheme=head.scheme) as batch:
             try:
                 return run(workers)
             except Exception as exc:  # noqa: BLE001 - pool death is recoverable
@@ -348,5 +312,6 @@ class DiagnosisEngine:
                 return run(0)
             except Exception as exc:  # noqa: BLE001 - request-level boundary
                 log(f"service: serial fallback failed: {exc!r}")
+                batch.set_attribute("status", "internal_error")
                 error = ServiceError("internal_error", f"diagnosis failed: {exc}")
                 return [error for _ in responses]

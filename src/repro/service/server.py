@@ -75,13 +75,10 @@ from ..telemetry import (
     SamplingProfiler,
     assemble_tree,
     log,
-    make_record,
     metric_key,
-    new_span_id,
-    new_trace_id,
     parse_traceparent,
     render_prometheus,
-    trace_scope,
+    span,
 )
 from ..telemetry.metrics import summary
 from .batching import BatchQueue, PendingRequest
@@ -526,17 +523,9 @@ class DiagnosisServer:
         self, body: bytes, headers: Optional[Dict[str, str]] = None,
     ) -> DiagnoseReply:
         arrived = time.monotonic()
-        started_wall = time.time()
         parent = parse_traceparent((headers or {}).get("traceparent"))
-        if parent is not None:
-            trace_id, client_span = parent
-        else:
-            trace_id, client_span = new_trace_id(), None
-        server_span = new_span_id()
-        flight_key = "/diagnose"
-        flight_extra: Dict[str, Any] = {}
-        status = "ok"
-        with trace_scope(trace_id, server_span):
+        with span("service.request", kind="request", parent=parent,
+                  key="/diagnose") as request_span:
             try:
                 try:
                     payload = json.loads(body.decode("utf-8"))
@@ -544,7 +533,8 @@ class DiagnosisServer:
                     raise ServiceError("malformed_payload",
                                        "request body is not valid JSON")
                 request = DiagnoseRequest.from_payload(payload)
-                flight_key = f"{request.circuit}/{request.scheme}"
+                request_span.set_attribute(
+                    "key", f"{request.circuit}/{request.scheme}")
                 if self._draining:
                     raise ServiceError("shutting_down", "server is draining")
                 timeout_ms = request.timeout_ms or self.default_timeout_ms
@@ -554,7 +544,7 @@ class DiagnosisServer:
                     future=asyncio.get_event_loop().create_future(),
                     enqueued_at=arrived,
                     deadline=deadline,
-                    trace=(trace_id, server_span),
+                    trace=(request_span.trace_id, request_span.span_id),
                 )
                 self.queue.offer(entry)  # raises queue_full / shutting_down
                 await self.queue.announce()
@@ -572,24 +562,14 @@ class DiagnosisServer:
                     METRICS.observe(REQUEST_SECONDS,
                                     time.monotonic() - arrived,
                                     labels={"stage": "total"})
-                reply.trace_id = trace_id
-                flight_extra = {
-                    "queue_wait_ms": reply.queue_wait_ms,
-                    "execute_ms": reply.execute_ms,
-                    "batch_size": reply.batch_size,
-                }
+                reply.trace_id = request_span.trace_id
+                request_span.set_attribute("queue_wait_ms", reply.queue_wait_ms)
+                request_span.set_attribute("execute_ms", reply.execute_ms)
+                request_span.set_attribute("batch_size", reply.batch_size)
                 return reply
             except ServiceError as exc:
-                status = exc.code
+                request_span.set_attribute("status", exc.code)
                 raise
-            finally:
-                FLIGHT.record(make_record(
-                    "service.request", trace_id, server_span,
-                    parent_id=client_span, kind="request", key=flight_key,
-                    start=started_wall,
-                    duration_ms=(time.monotonic() - arrived) * 1000,
-                    status=status, **flight_extra,
-                ))
 
     # -- introspection -------------------------------------------------------
 
@@ -701,7 +681,7 @@ class DiagnosisServer:
         return {
             "capacity": FLIGHT.capacity,
             "enabled": FLIGHT.enabled,
-            "recorded": FLIGHT.snapshot(limit=1)["recorded"],
+            "recorded": FLIGHT.recorded,
             "pid": os.getpid(),
         }
 

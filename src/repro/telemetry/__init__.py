@@ -1,10 +1,15 @@
 """Zero-dependency observability for the diagnosis pipeline.
 
-Three cooperating pieces (see docs/architecture.md, "Observability"):
+Cooperating pieces (see docs/architecture.md, "Observability"):
 
-* :mod:`repro.telemetry.tracer` — nested spans (wall/CPU time, attributes,
-  counters) over the pipeline stages; opt-in via ``REPRO_TRACE=1`` or
-  :func:`enable_tracing`, free when disabled.
+* :mod:`repro.telemetry.tracer` — ``span()``: nested spans (wall/CPU
+  time, attributes, counters) over the pipeline stages and serving
+  tiers, each filed as one record in the flight recorder; pipeline spans
+  are opt-in via ``REPRO_TRACE=1`` or :func:`enable_tracing`, free when
+  disabled.
+* :mod:`repro.telemetry.flightrec` — the span record shape, the bounded
+  :data:`FLIGHT` ring that holds every record, trace context, and the
+  tree assembler.
 * :mod:`repro.telemetry.metrics` — the process-wide
   :class:`MetricsRegistry` that cache, fault simulator, session kernels
   and the worker pool report into; forked workers ship deltas back.
@@ -69,9 +74,6 @@ from .promexp import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from .promexp import render_prometheus, sanitize_metric_name
 from .tracer import (
     NULL_SPAN,
-    Span,
-    TRACER,
-    Tracer,
     active_span_name,
     disable_tracing,
     enable_tracing,
@@ -95,9 +97,6 @@ __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
     "ProfileData",
     "SamplingProfiler",
-    "Span",
-    "TRACER",
-    "Tracer",
     "active_span_name",
     "assemble_tree",
     "build_manifest",

@@ -4,8 +4,9 @@ Three consumers, three formats:
 
 * a human watching a run — :func:`render_span_tree`, an indented tree of
   wall/CPU times and counters printed to stderr when tracing is on;
-* offline tooling — :func:`write_trace_jsonl`, one JSON object per root
-  span (children nested), consumed by ``repro stats``;
+* offline tooling — :func:`write_trace_jsonl`, one span record per line
+  (the flight-record shape, parentage by ``parent_id``), consumed by
+  ``repro stats``;
 * reproducibility audits — :func:`build_manifest` /
   :func:`write_manifest`, a ``manifest.json`` capturing *what ran*
   (git SHA, config hash, seed, env knobs, argv) and *what it cost*
@@ -25,9 +26,16 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, TextIO, Union
 
+from .flightrec import FLIGHT, children_index, nest
 from .metrics import METRICS
 from .profiler import PROFILER
-from .tracer import Span, TRACER
+
+#: A span record's own fields; every other field is a span attribute.
+_RECORD_FIELDS = frozenset((
+    "name", "kind", "trace_id", "span_id", "parent_id", "key", "pid",
+    "start", "duration_ms", "cpu_ms", "status", "links", "counters",
+    "children",
+))
 
 #: Environment knobs recorded in every manifest (missing ones read "").
 ENV_KNOBS = (
@@ -109,86 +117,105 @@ _ROLLUP_SCHEMA: Dict[str, Any] = {
 
 
 # -- span tree -------------------------------------------------------------
+#
+# Every function below takes span records (default: the whole flight
+# recorder ring) and relates them through the children-by-parent_id index.
 
-def render_span_tree(
-    spans: Optional[Sequence[Span]] = None, max_depth: Optional[int] = None
-) -> str:
-    """Indented tree of the (finished) root spans."""
-    spans = TRACER.roots() if spans is None else list(spans)
+Records = Optional[Sequence[Dict[str, Any]]]
+
+
+def _records(records: Records) -> List[Dict[str, Any]]:
+    return FLIGHT.since() if records is None else list(records)
+
+
+def render_span_tree(records: Records = None,
+                     max_depth: Optional[int] = None) -> str:
+    """Indented tree of span records."""
     lines: List[str] = []
-    for root in spans:
+    for root in nest(_records(records)):
         _render_span(root, 0, lines, max_depth)
     return "\n".join(lines)
 
 
 def _render_span(
-    span: Span, depth: int, lines: List[str], max_depth: Optional[int]
+    node: Dict[str, Any], depth: int, lines: List[str],
+    max_depth: Optional[int],
 ) -> None:
     if max_depth is not None and depth > max_depth:
         return
-    attrs = " ".join(f"{k}={v}" for k, v in span.attributes.items())
-    counters = " ".join(f"{k}={v}" for k, v in span.counters.items())
+    attrs = " ".join(f"{k}={v}" for k, v in node.items()
+                     if k not in _RECORD_FIELDS)
+    counters = " ".join(f"{k}={v}"
+                        for k, v in (node.get("counters") or {}).items())
     detail = " ".join(part for part in (attrs, counters) if part)
     lines.append(
-        f"{'  ' * depth}{span.name:<{max(40 - 2 * depth, 8)}}"
-        f" {span.duration_s * 1000:9.2f}ms  cpu {span.cpu_s * 1000:8.2f}ms"
+        f"{'  ' * depth}{node['name']:<{max(40 - 2 * depth, 8)}}"
+        f" {node.get('duration_ms', 0.0):9.2f}ms"
+        f"  cpu {node.get('cpu_ms', 0.0):8.2f}ms"
         + (f"  [{detail}]" if detail else "")
     )
-    for child in span.children:
+    for child in node["children"]:
         _render_span(child, depth + 1, lines, max_depth)
 
 
-def print_span_tree(stream: Optional[TextIO] = None) -> None:
-    """Dump the finished span tree to ``stream`` (default stderr)."""
-    tree = render_span_tree()
+def print_span_tree(stream: Optional[TextIO] = None,
+                    records: Records = None) -> None:
+    """Dump the span tree to ``stream`` (default stderr)."""
+    tree = render_span_tree(records)
     if tree:
         print(tree, file=stream if stream is not None else sys.stderr)
 
 
 # -- JSONL -----------------------------------------------------------------
 
-def write_trace_jsonl(
-    path: Union[str, Path], spans: Optional[Sequence[Span]] = None
-) -> Path:
-    """One JSON object per root span (children nested inside)."""
-    spans = TRACER.roots() if spans is None else list(spans)
+def write_trace_jsonl(path: Union[str, Path], records: Records = None) -> Path:
+    """One span record per line."""
     path = Path(path)
     with path.open("w") as handle:
-        for span in spans:
-            handle.write(json.dumps(span.to_dict()) + "\n")
+        for record in _records(records):
+            handle.write(json.dumps(record, default=repr) + "\n")
     return path
 
 
-def read_trace_jsonl(path: Union[str, Path]) -> List[Span]:
-    spans = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            spans.append(Span.from_dict(json.loads(line)))
-    return spans
+def read_trace_jsonl(path: Union[str, Path]) -> List[Dict[str, Any]]:
+    """The span records of a trace.jsonl file; ``ValueError`` (or
+    ``json.JSONDecodeError``) names the first bad line."""
+    records = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if not line.strip():
+            continue
+        record = json.loads(line)
+        if not isinstance(record, dict) or "name" not in record:
+            raise ValueError(f"line {number} is not a span record")
+        records.append(record)
+    return records
 
 
 # -- rollup ----------------------------------------------------------------
 
-def span_rollup(spans: Optional[Sequence[Span]] = None) -> List[Dict[str, Any]]:
-    """Aggregate the span forest by name: invocation count, total wall,
+def span_rollup(records: Records = None) -> List[Dict[str, Any]]:
+    """Aggregate span records by name: invocation count, total wall,
     self (minus children) wall, CPU, and summed counters — the hot-path
     table behind ``repro stats``, sorted by self time descending."""
-    spans = TRACER.roots() if spans is None else list(spans)
+    records = _records(records)
+    index = children_index(records)
     table: Dict[str, Dict[str, Any]] = {}
-    for root in spans:
-        for span in root.walk():
-            row = table.setdefault(
-                span.name,
-                {"name": span.name, "count": 0, "wall_s": 0.0, "self_s": 0.0,
-                 "cpu_s": 0.0, "counters": {}},
-            )
-            row["count"] += 1
-            row["wall_s"] += span.duration_s
-            row["self_s"] += span.self_s
-            row["cpu_s"] += span.cpu_s
-            for key, value in span.counters.items():
-                row["counters"][key] = row["counters"].get(key, 0) + value
+    for record in records:
+        name = record["name"]
+        row = table.setdefault(
+            name,
+            {"name": name, "count": 0, "wall_s": 0.0, "self_s": 0.0,
+             "cpu_s": 0.0, "counters": {}},
+        )
+        wall_ms = record.get("duration_ms", 0.0)
+        children_ms = sum(child.get("duration_ms", 0.0) for child in
+                          index.get(record.get("span_id"), ()))
+        row["count"] += 1
+        row["wall_s"] += wall_ms / 1000
+        row["self_s"] += max(0.0, wall_ms - children_ms) / 1000
+        row["cpu_s"] += record.get("cpu_ms", 0.0) / 1000
+        for key, value in (record.get("counters") or {}).items():
+            row["counters"][key] = row["counters"].get(key, 0) + value
     rows = sorted(table.values(), key=lambda r: r["self_s"], reverse=True)
     for row in rows:
         for key in ("wall_s", "self_s", "cpu_s"):
@@ -256,9 +283,10 @@ def build_manifest(
     config: Any = None,
     seed: Optional[int] = None,
     extra: Optional[Dict[str, Any]] = None,
-    spans: Optional[Sequence[Span]] = None,
+    spans: Records = None,
 ) -> Dict[str, Any]:
-    """Assemble the run manifest from the live tracer and registry."""
+    """Assemble the run manifest from span records (default: the flight
+    recorder ring) and the live registry."""
     manifest: Dict[str, Any] = {
         "schema": MANIFEST_SCHEMA_NAME,
         "schema_version": MANIFEST_SCHEMA_VERSION,

@@ -1,29 +1,29 @@
-"""Always-on flight recorder + W3C-style request trace context.
+"""Span records, the flight recorder and W3C-style request trace context.
 
-The PR 2 tracer is opt-in (``REPRO_TRACE``) and builds full span *trees*
-— perfect for offline experiment forensics, useless for asking a live
-server "what were the last 50 slow requests?".  This module is the
-serving-side complement:
+Every span in this codebase — pipeline stages and serving tiers alike —
+is one *record*: a plain JSON-ready dict built by :func:`make_record`
+(see :mod:`repro.telemetry.tracer` for the ``span()`` that files them).
 
 * **Trace context** — a W3C-``traceparent``-shaped ``(trace_id,
   span_id)`` pair minted at the service edge (or accepted from the
-  client), carried in a contextvar so structured log lines and child
-  span records can reference it.  Helpers parse and format the header
+  client), carried in one contextvar so structured log lines and child
+  spans can reference it.  Helpers parse and format the header
   (``00-<32 hex>-<16 hex>-01``); ids are random (``os.urandom``), never
   sequential, so traces from different processes cannot collide.
 * **Flight recorder** — a bounded ring (``REPRO_FLIGHT_SPANS``, default
-  4096, ``0`` disables) of completed span *records*: plain dicts, one
-  per server request / engine batch / fork chunk, each carrying
+  4096, ``0`` disables) of completed span records, each carrying
   ``trace_id``/``span_id``/``parent_id`` plus ``links`` to the traces a
-  shared span served.  Always on: recording is one small dict append
-  under a lock, and snapshots copy the ring without stopping recording.
+  shared span served.  Recording is one small dict append under a lock,
+  and snapshots copy the ring without stopping recording.
   Per-route/workload reservoirs keep the slowest requests and the most
   recent errors even after the ring has wrapped past them.
-* **Tree assembly** — :func:`assemble_tree` stitches records (from one
-  process or a whole fleet) into a single parent→child tree for a trace
-  id.  A record included via a *link* (e.g. a coalesced batch span that
-  served many traces) is grafted under the linked member span, so every
-  member trace reads as one tree: server → batch → fork chunk.
+* **Tree assembly** — :func:`children_index` groups records by
+  ``parent_id``; :func:`nest` turns records into nested trees through
+  it, and :func:`assemble_tree` stitches the records of one trace id
+  (from one process or a whole fleet) into a single tree.  A record
+  included via a *link* (e.g. a coalesced batch span that served many
+  traces) is grafted under the linked member span, so every member
+  trace reads as one tree: server → batch → fork chunk.
 
 Span records are shipped across processes as-is: fork workers return
 them in the chunk payload (:mod:`repro.parallel`), cluster workers over
@@ -38,6 +38,7 @@ import os
 import threading
 import time
 from collections import deque
+from itertools import islice
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .log import set_trace_id_provider, warn_env_once
@@ -186,11 +187,12 @@ def make_record(
 ) -> Dict[str, Any]:
     """One completed-span record (a plain JSON-ready dict).
 
-    ``kind`` classifies the tier (``request`` / ``batch`` / ``chunk``);
-    ``key`` is the route or workload the reservoirs bucket by; ``links``
-    lists ``{"trace_id", "span_id"}`` pairs for every *other* trace this
-    span served (coalesced batches).  Extra keyword fields (timing
-    breakdowns, batch sizes) ride along verbatim.
+    ``kind`` classifies the tier (``span`` for a pipeline stage, or
+    ``request`` / ``batch`` / ``chunk``); ``key`` is the route or
+    workload the reservoirs bucket by; ``links`` lists ``{"trace_id",
+    "span_id"}`` pairs for every *other* trace this span served
+    (coalesced batches).  Extra keyword fields (a span's attributes,
+    ``cpu_ms`` and ``counters``) ride along verbatim.
     """
     record: Dict[str, Any] = {
         "name": name,
@@ -234,6 +236,11 @@ class FlightRecorder:
     @property
     def enabled(self) -> bool:
         return self.capacity > 0
+
+    @property
+    def recorded(self) -> int:
+        """Records filed since the last reset (ring wraps included)."""
+        return self._recorded
 
     # -- recording ----------------------------------------------------------
 
@@ -292,45 +299,27 @@ class FlightRecorder:
             "errors": errors,
         }
 
-    def records_for_trace(self, trace_id: str) -> List[Dict[str, Any]]:
-        """Every retained record belonging to (or linked into) a trace.
+    def since(self, mark: int = 0) -> List[Dict[str, Any]]:
+        """Records filed after :attr:`recorded` read ``mark``, oldest
+        first, as far as the ring still holds them (``since()`` returns
+        the whole ring)."""
+        with self._lock:
+            count = min(self._recorded - mark, len(self._ring))
+            records = list(islice(reversed(self._ring), max(0, count)))
+        records.reverse()
+        return records
 
-        Parent-chain descendants ride along even when they carry a
-        different trace id — fork chunks under a coalesced batch span
-        inherit the *head* request's trace, but belong in the tree of
-        every member the batch links to, so :func:`assemble_tree` must
-        see them.
-        """
-        out: List[Dict[str, Any]] = []
+    def records_for_trace(self, trace_id: str) -> List[Dict[str, Any]]:
+        """Every retained record belonging to (or linked into) a trace,
+        with its descendants (see :func:`assemble_tree`)."""
         with self._lock:
             candidates = list(self._ring)
             for records in self._slow.values():
                 candidates.extend(records)
             for records in self._errors.values():
                 candidates.extend(records)
-        seen = set()
-        for record in candidates:
-            span_id = record.get("span_id")
-            if span_id in seen:
-                continue
-            if record.get("trace_id") == trace_id or any(
-                link.get("trace_id") == trace_id
-                for link in record.get("links", ())
-            ):
-                seen.add(span_id)
-                out.append(record)
-        changed = True
-        while changed:
-            changed = False
-            for record in candidates:
-                span_id = record.get("span_id")
-                if span_id in seen:
-                    continue
-                if record.get("parent_id") in seen:
-                    seen.add(span_id)
-                    out.append(record)
-                    changed = True
-        return out
+        return [record for record, _ in
+                _trace_members(candidates, trace_id).values()]
 
     def resize(self, capacity: int) -> int:
         """Change the ring capacity live; returns the new capacity.
@@ -359,79 +348,111 @@ class FlightRecorder:
             self._recorded = 0
 
 
-def assemble_tree(
-    records: Iterable[Dict[str, Any]], trace_id: str,
-) -> Dict[str, Any]:
-    """Stitch span records (possibly from many processes) into one tree.
+def _start(record: Dict[str, Any]) -> float:
+    return record.get("start", 0.0)
 
-    A record matches directly when its ``trace_id`` equals the target,
-    or via a ``links`` entry naming the target trace — in which case it
-    is grafted under the linked member span (``linked: true``), so a
-    coalesced batch span appears exactly once in *each* member's tree.
-    Descendants of a matched record (same trace id, parent chain) come
-    along.  Returns ``{"trace_id", "span_count", "pids", "roots"}``.
+
+def children_index(
+    records: Iterable[Dict[str, Any]],
+) -> Dict[str, List[Dict[str, Any]]]:
+    """Records that have a parent, grouped by ``parent_id``, each group
+    in start order."""
+    index: Dict[str, List[Dict[str, Any]]] = {}
+    for record in records:
+        parent = record.get("parent_id")
+        if parent:
+            index.setdefault(parent, []).append(record)
+    for group in index.values():
+        group.sort(key=_start)
+    return index
+
+
+def nest(records: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Records as trees: copies with a ``children`` list, rooted at the
+    records whose parent is not among them, in start order.  A repeated
+    ``span_id`` keeps its first record."""
+    unique: Dict[str, Dict[str, Any]] = {}
+    for record in records:
+        if record.get("span_id"):
+            unique.setdefault(record["span_id"], record)
+    index = children_index(unique.values())
+
+    def build(record: Dict[str, Any]) -> Dict[str, Any]:
+        node = dict(record)
+        node["children"] = [build(child)
+                            for child in index.get(record["span_id"], ())]
+        return node
+
+    roots = [r for r in unique.values() if r.get("parent_id") not in unique]
+    return [build(root) for root in sorted(roots, key=_start)]
+
+
+def _trace_members(
+    records: List[Dict[str, Any]], trace_id: str,
+) -> Dict[str, Tuple[Dict[str, Any], Optional[str]]]:
+    """``span_id -> (record, tree parent)`` for one trace.
+
+    A record matches when its ``trace_id`` is the target (tree parent:
+    its ``parent_id``) or a ``links`` entry names the target (tree
+    parent: the linked span).  Descendants of matched records come along
+    through one walk of the children index, even when they carry another
+    trace id: fork chunks under a coalesced batch span inherit the
+    *head* request's trace but belong in every member's tree.
     """
-    pool = [r for r in records if r.get("span_id")]
-    matched: Dict[str, Dict[str, Any]] = {}
-    effective_parent: Dict[str, Optional[str]] = {}
-    for record in pool:
-        span_id = record["span_id"]
-        if span_id in matched:
+    members: Dict[str, Tuple[Dict[str, Any], Optional[str]]] = {}
+    for record in records:
+        span_id = record.get("span_id")
+        if not span_id or span_id in members:
             continue
         if record.get("trace_id") == trace_id:
-            matched[span_id] = record
-            effective_parent[span_id] = record.get("parent_id")
+            members[span_id] = (record, record.get("parent_id"))
             continue
         for link in record.get("links", ()):
             if link.get("trace_id") == trace_id:
-                matched[span_id] = record
-                effective_parent[span_id] = link.get("span_id")
+                members[span_id] = (record, link.get("span_id"))
                 break
-    # Fixpoint: descendants of matched spans ride along even when they
-    # carry a different trace id (fork chunks under a coalesced batch
-    # span inherit the *head* request's trace, but belong in the tree of
-    # every member the batch links to).
-    changed = True
-    while changed:
-        changed = False
-        for record in pool:
-            span_id = record["span_id"]
-            if span_id in matched:
-                continue
-            parent = record.get("parent_id")
-            if parent in matched:
-                matched[span_id] = record
-                effective_parent[span_id] = parent
-                changed = True
+    index = children_index(records)
+    frontier = list(members)
+    while frontier:
+        for child in index.get(frontier.pop(), ()):
+            span_id = child.get("span_id")
+            if span_id and span_id not in members:
+                members[span_id] = (child, child.get("parent_id"))
+                frontier.append(span_id)
+    return members
 
-    children: Dict[Optional[str], List[str]] = {}
-    roots: List[str] = []
-    for span_id, record in matched.items():
-        parent = effective_parent[span_id]
-        if parent in matched:
-            children.setdefault(parent, []).append(span_id)
-        else:
-            roots.append(span_id)
 
-    def build(span_id: str) -> Dict[str, Any]:
-        record = matched[span_id]
-        node = dict(record)
-        if effective_parent[span_id] != record.get("parent_id"):
-            node["linked"] = True
-        kids = children.get(span_id, [])
-        kids.sort(key=lambda s: matched[s].get("start", 0.0))
-        node["children"] = [build(kid) for kid in kids]
-        return node
+def assemble_tree(
+    records: Iterable[Dict[str, Any]], trace_id: str,
+) -> Dict[str, Any]:
+    """Stitch span records (possibly from many processes) into one tree
+    for ``trace_id``.
 
-    roots.sort(key=lambda s: matched[s].get("start", 0.0))
+    A record matched via a link is grafted under the linked member span
+    (its node's ``parent_id`` names that span, and ``linked: true``), so
+    a coalesced batch span appears exactly once in *each* member's tree.
+    Returns ``{"trace_id", "span_count", "pids", "roots"}``.
+    """
+    members = _trace_members(list(records), trace_id)
+    grafted = [
+        record if parent == record.get("parent_id")
+        else dict(record, parent_id=parent, linked=True)
+        for record, parent in members.values()
+    ]
     return {
         "trace_id": trace_id,
-        "span_count": len(matched),
-        "pids": sorted({r.get("pid") for r in matched.values()
+        "span_count": len(grafted),
+        "pids": sorted({r.get("pid") for r in grafted
                         if r.get("pid") is not None}),
-        "roots": [build(root) for root in roots],
+        "roots": nest(grafted),
     }
 
 
-#: Process-wide flight recorder used by the serving path.
+#: Process-wide flight recorder: every recorded span lands here.
 FLIGHT = FlightRecorder()
+
+if hasattr(os, "register_at_fork"):
+    # Fork children record spans (pool chunks).  A lock that another
+    # parent thread held at fork time is never released in the child.
+    os.register_at_fork(
+        after_in_child=lambda: setattr(FLIGHT, "_lock", threading.Lock()))

@@ -1,29 +1,30 @@
-"""Structured tracing: nested spans over the diagnosis pipeline.
+"""Spans over the diagnosis pipeline and the serving tiers, filed as
+flight records.
 
-A :class:`Span` records one named stage — wall time, CPU time, free-form
-attributes, and integer counters — plus its child spans, yielding a tree
-that mirrors the pipeline (``experiment:table1`` → ``workload.build`` →
-``fault.sim`` → ...).  The :class:`Tracer` maintains the *current* span in
-a :mod:`contextvars` variable, so nesting is correct across threads and
-inside forked workers (each worker inherits the parent's context and
-detaches via :meth:`Tracer.capture`, see :mod:`repro.parallel`).
+``span(name, **attrs)`` times one stage.  On entry it installs its own
+``(trace_id, span_id)`` as the active trace context — the contextvar
+:class:`repro.telemetry.flightrec.trace_scope` uses — so nested spans
+read their parent from it; a root outside any request mints a trace id.
+On exit it files one record (:func:`repro.telemetry.flightrec.make_record`)
+into :data:`repro.telemetry.flightrec.FLIGHT` with wall and CPU time,
+its attributes as top-level fields, and a ``counters`` dict.
 
-Tracing is **opt-in** (``REPRO_TRACE=1`` or :func:`enable`); when disabled
-every entry point returns a shared no-op context manager and the pipeline
-pays one attribute load and one branch per call site — no spans, no
-allocation, no output.
+Recording rule: pipeline spans (``kind="span"``) are recorded only while
+tracing is on (``REPRO_TRACE=1`` or :func:`enable_tracing`); otherwise
+:func:`span` returns :data:`NULL_SPAN`, which touches neither the context
+nor the recorder.  The serving tiers (``kind`` ``request`` / ``batch`` /
+``chunk``) are always recorded.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from .flightrec import current_trace, new_span_id, new_trace_id
+from .flightrec import _CURRENT, FLIGHT, make_record, new_span_id, new_trace_id
 from .log import warn_env_once
 
 #: ``REPRO_TRACE`` spellings that switch tracing on / off.  Anything else
@@ -41,6 +42,8 @@ def _trace_env_enabled() -> bool:
     return False
 
 
+_ENABLED = _trace_env_enabled()
+
 #: Name of the innermost open span per thread ident.  The sampling
 #: profiler (:mod:`repro.telemetry.profiler`) reads this from its signal
 #: handler / sampler thread to attribute stack samples to pipeline
@@ -57,119 +60,8 @@ def active_span_name(ident: Optional[int] = None) -> Optional[str]:
     return _THREAD_SPANS.get(ident)
 
 
-class Span:
-    """One timed stage of the pipeline.
-
-    ``duration_s`` / ``cpu_s`` are valid once the span is closed.  Counters
-    are plain integer accumulators (events seen, faults diagnosed, ...)
-    local to the span; process-wide totals live in
-    :class:`repro.telemetry.metrics.MetricsRegistry`.
-    """
-
-    __slots__ = (
-        "name", "attributes", "counters", "children",
-        "start_wall", "end_wall", "start_cpu", "end_cpu", "pid",
-        "trace_id", "span_id", "parent_id",
-    )
-
-    def __init__(self, name: str, attributes: Optional[Dict[str, Any]] = None):
-        self.name = name
-        self.attributes: Dict[str, Any] = dict(attributes or {})
-        self.counters: Dict[str, int] = {}
-        self.children: List["Span"] = []
-        self.start_wall = time.perf_counter()
-        self.start_cpu = time.process_time()
-        self.end_wall: Optional[float] = None
-        self.end_cpu: Optional[float] = None
-        self.pid = os.getpid()
-        # Distributed identity: every span mints its own id; the trace id
-        # and parent come from the active request context (flightrec) or
-        # the enclosing span — a root outside any request starts a new
-        # trace (so trace.jsonl files always carry valid ids).
-        self.span_id = new_span_id()
-        context = current_trace()
-        if context is not None:
-            self.trace_id, self.parent_id = context
-        else:
-            self.trace_id = new_trace_id()
-            self.parent_id: Optional[str] = None
-
-    # -- recording ----------------------------------------------------------
-
-    def set_attribute(self, key: str, value: Any) -> None:
-        self.attributes[key] = value
-
-    def add(self, counter: str, value: int = 1) -> None:
-        self.counters[counter] = self.counters.get(counter, 0) + value
-
-    def close(self) -> None:
-        if self.end_wall is None:
-            self.end_wall = time.perf_counter()
-            self.end_cpu = time.process_time()
-
-    # -- reading ------------------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        return self.end_wall is not None
-
-    @property
-    def duration_s(self) -> float:
-        end = self.end_wall if self.end_wall is not None else time.perf_counter()
-        return max(0.0, end - self.start_wall)
-
-    @property
-    def cpu_s(self) -> float:
-        end = self.end_cpu if self.end_cpu is not None else time.process_time()
-        return max(0.0, end - self.start_cpu)
-
-    @property
-    def self_s(self) -> float:
-        """Wall time not covered by child spans."""
-        return max(0.0, self.duration_s - sum(c.duration_s for c in self.children))
-
-    def walk(self) -> Iterator["Span"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-    def __repr__(self) -> str:
-        state = f"{self.duration_s * 1000:.2f}ms" if self.closed else "open"
-        return f"Span({self.name!r}, {state}, children={len(self.children)})"
-
-    # -- wire format (fork merge, JSONL export) -----------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "wall_s": round(self.duration_s, 9),
-            "cpu_s": round(self.cpu_s, 9),
-            "pid": self.pid,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "attributes": self.attributes,
-            "counters": self.counters,
-            "children": [c.to_dict() for c in self.children],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Span":
-        span = cls(data["name"], data.get("attributes"))
-        span.counters = dict(data.get("counters", {}))
-        span.pid = int(data.get("pid", os.getpid()))
-        span.end_wall = span.start_wall + float(data.get("wall_s", 0.0))
-        span.end_cpu = span.start_cpu + float(data.get("cpu_s", 0.0))
-        # Pre-PR10 wire dicts carried no ids; keep the minted ones then.
-        span.trace_id = data.get("trace_id") or span.trace_id
-        span.span_id = data.get("span_id") or span.span_id
-        span.parent_id = data.get("parent_id", span.parent_id)
-        span.children = [cls.from_dict(c) for c in data.get("children", [])]
-        return span
-
-
 class _NullSpan:
-    """Shared do-nothing stand-in returned while tracing is disabled."""
+    """Shared do-nothing stand-in for a span that is not recorded."""
 
     __slots__ = ()
 
@@ -189,188 +81,107 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class _SpanContext:
-    """Context manager that opens a span on entry and closes it on exit,
-    maintaining the tracer's current-span variable."""
+class _Span:
+    """An open span; ``trace_id`` / ``span_id`` are valid once entered.
 
-    __slots__ = ("_tracer", "_span", "_token", "_prev_name")
+    A request span lives across awaits on the event loop, where other
+    requests interleave, so it does not claim the thread for the
+    profiler's span label.
+    """
 
-    def __init__(self, tracer: "Tracer", span: Span):
-        self._tracer = tracer
-        self._span = span
-        self._token: Optional[contextvars.Token] = None
-        self._prev_name: Optional[str] = None
+    __slots__ = ("name", "kind", "attributes", "counters", "trace_id",
+                 "span_id", "parent_id", "_parent", "_token", "_prev_name",
+                 "_start", "_wall0", "_cpu0")
 
-    def __enter__(self) -> Span:
-        parent = self._tracer._current.get()
-        if parent is not None:
-            parent.children.append(self._span)
-            self._span.trace_id = parent.trace_id
-            self._span.parent_id = parent.span_id
-        self._token = self._tracer._current.set(self._span)
-        ident = threading.get_ident()
-        self._prev_name = _THREAD_SPANS.get(ident)
-        _THREAD_SPANS[ident] = self._span.name
-        return self._span
+    def __init__(self, name: str, kind: str,
+                 parent: Optional[Tuple[str, str]], attributes: Dict[str, Any]):
+        self.name = name
+        self.kind = kind
+        self._parent = parent
+        self.attributes = attributes
+        self.counters: Dict[str, int] = {}
 
-    def __exit__(self, *exc: Any) -> None:
-        self._span.close()
-        ident = threading.get_ident()
-        if self._prev_name is None:
-            _THREAD_SPANS.pop(ident, None)
+    def set_attribute(self, key: str, value: Any) -> None:
+        self.attributes[key] = value
+
+    def add(self, counter: str, value: int = 1) -> None:
+        self.counters[counter] = self.counters.get(counter, 0) + value
+
+    def __enter__(self) -> "_Span":
+        context = self._parent or _CURRENT.get()
+        if context is None:
+            self.trace_id, self.parent_id = new_trace_id(), None
         else:
-            _THREAD_SPANS[ident] = self._prev_name
-        if self._token is not None:
-            self._tracer._current.reset(self._token)
-        if self._tracer._current.get() is None:
-            # A root span finished: file it with the active sink (fork
-            # capture) or the tracer's finished list.
-            self._tracer._file_root(self._span)
-
-
-class Tracer:
-    """Owns the span tree and the enabled/disabled switch."""
-
-    def __init__(self, enabled: Optional[bool] = None):
-        if enabled is None:
-            enabled = _trace_env_enabled()
-        self.enabled = bool(enabled)
-        self._current: contextvars.ContextVar[Optional[Span]] = (
-            contextvars.ContextVar("repro_current_span", default=None)
-        )
-        self._sink: contextvars.ContextVar[Optional[List[Span]]] = (
-            contextvars.ContextVar("repro_span_sink", default=None)
-        )
-        self._lock = threading.Lock()
-        self._finished: List[Span] = []
-
-    # -- span lifecycle -----------------------------------------------------
-
-    def span(self, name: str, **attributes: Any):
-        """Open a child span of the current span (or a new root).
-
-        Usage::
-
-            with tracer.span("fault.sim", circuit="s953") as sp:
-                ...
-                sp.add("faults", len(sample))
-        """
-        if not self.enabled:
-            return NULL_SPAN
-        return _SpanContext(self, Span(name, attributes))
-
-    def traced(self, name: Optional[str] = None) -> Callable:
-        """Decorator form of :meth:`span` (span named after the function)."""
-
-        def decorate(func: Callable) -> Callable:
-            span_name = name or func.__qualname__
-
-            @functools.wraps(func)
-            def wrapper(*args: Any, **kwargs: Any) -> Any:
-                if not self.enabled:
-                    return func(*args, **kwargs)
-                with self.span(span_name):
-                    return func(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
-
-    def current(self) -> Optional[Span]:
-        return self._current.get()
-
-    def _file_root(self, span: Span) -> None:
-        sink = self._sink.get()
-        if sink is not None:
-            sink.append(span)
-            return
-        with self._lock:
-            self._finished.append(span)
-
-    # -- reading / management -----------------------------------------------
-
-    def roots(self) -> List[Span]:
-        """Completed root spans, oldest first (open roots are excluded)."""
-        with self._lock:
-            return list(self._finished)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._finished.clear()
-
-    # -- fork merge protocol ------------------------------------------------
-
-    def capture(self):
-        """Detach the calling context and collect its root spans in a list.
-
-        Used inside forked workers: the child inherits the parent's current
-        span through fork, but any spans it closes there would mutate the
-        *child's* copy and be lost.  ``capture()`` severs the inherited
-        parent so worker spans become local roots, and hands back the list
-        they accumulate in — the worker ships ``[s.to_dict() ...]`` over
-        the pipe and the parent re-attaches them with :meth:`adopt`.
-        """
-        return _Capture(self)
-
-    def adopt(self, span_dicts: List[Dict[str, Any]]) -> None:
-        """Attach worker-recorded spans under the current span (or as
-        roots).  Worker spans carry their own wall/CPU durations; their
-        start offsets are not preserved across the pipe."""
-        if not self.enabled or not span_dicts:
-            return
-        parent = self._current.get()
-        for data in span_dicts:
-            span = Span.from_dict(data)
-            if parent is not None:
-                parent.children.append(span)
-                if span.parent_id is None:
-                    span.parent_id = parent.span_id
-                if "trace_id" not in data or not data.get("trace_id"):
-                    span.trace_id = parent.trace_id
-            else:
-                self._file_root(span)
-
-
-class _Capture:
-    __slots__ = ("_tracer", "_spans", "_cur_token", "_sink_token")
-
-    def __init__(self, tracer: Tracer):
-        self._tracer = tracer
-        self._spans: List[Span] = []
-
-    def __enter__(self) -> List[Span]:
-        self._cur_token = self._tracer._current.set(None)
-        self._sink_token = self._tracer._sink.set(self._spans)
-        return self._spans
+            self.trace_id, self.parent_id = context
+        self.span_id = new_span_id()
+        self._token = _CURRENT.set((self.trace_id, self.span_id))
+        if self.kind != "request":
+            ident = threading.get_ident()
+            self._prev_name = _THREAD_SPANS.get(ident)
+            _THREAD_SPANS[ident] = self.name
+        self._start = time.time()
+        self._cpu0 = time.process_time()
+        self._wall0 = time.perf_counter()
+        return self
 
     def __exit__(self, *exc: Any) -> None:
-        self._tracer._current.reset(self._cur_token)
-        self._tracer._sink.reset(self._sink_token)
+        wall_s = time.perf_counter() - self._wall0
+        cpu_s = time.process_time() - self._cpu0
+        _CURRENT.reset(self._token)
+        if self.kind != "request":
+            ident = threading.get_ident()
+            if self._prev_name is None:
+                _THREAD_SPANS.pop(ident, None)
+            else:
+                _THREAD_SPANS[ident] = self._prev_name
+        FLIGHT.record(make_record(
+            self.name, self.trace_id, self.span_id,
+            parent_id=self.parent_id, kind=self.kind, start=self._start,
+            duration_ms=wall_s * 1000, cpu_ms=round(cpu_s * 1000, 3),
+            counters=self.counters, **self.attributes,
+        ))
 
 
-#: Process-wide tracer used by all pipeline instrumentation.
-TRACER = Tracer()
+def span(name: str, kind: str = "span",
+         parent: Optional[Tuple[str, str]] = None, **attributes: Any):
+    """Open a span (``with span("fault.sim", circuit="s953") as sp:``).
 
-
-def span(name: str, **attributes: Any):
-    """Module-level shortcut for ``TRACER.span`` (the common call site)."""
-    if not TRACER.enabled:
+    ``parent`` (optional) is an explicit ``(trace_id, parent_span_id)``
+    — a client's traceparent, or a context carried across a queue or a
+    fork — used instead of the active context.  Attributes named ``key``,
+    ``status`` and ``links`` fill the record fields of those names.
+    """
+    if kind == "span" and not _ENABLED:
         return NULL_SPAN
-    return TRACER.span(name, **attributes)
+    return _Span(name, kind, parent, attributes)
 
 
 def traced(name: Optional[str] = None) -> Callable:
-    return TRACER.traced(name)
+    """Decorator form of :func:`span` (span named after the function)."""
+
+    def decorate(func: Callable) -> Callable:
+        span_name = name or func.__qualname__
+
+        @functools.wraps(func)
+        def wrapper(*args: Any, **kwargs: Any) -> Any:
+            with span(span_name):
+                return func(*args, **kwargs)
+
+        return wrapper
+
+    return decorate
 
 
 def trace_enabled() -> bool:
-    return TRACER.enabled
+    return _ENABLED
 
 
 def enable_tracing() -> None:
-    """Turn tracing on (the ``--trace`` CLI flag)."""
-    TRACER.enabled = True
+    """Record pipeline spans too (the ``--trace`` CLI flag)."""
+    global _ENABLED
+    _ENABLED = True
 
 
 def disable_tracing() -> None:
-    TRACER.enabled = False
+    global _ENABLED
+    _ENABLED = False

@@ -7,13 +7,21 @@ engine batch, and fork chunk — with the chunk spans recorded in fork
 *child* processes (>=2 pids in the tree).
 """
 
+import gc
 import threading
 
 import pytest
 
 from repro.service.client import ServiceClient
 from repro.service.protocol import ServiceError
-from repro.telemetry import FLIGHT, new_trace_id
+from repro.telemetry import (
+    FLIGHT,
+    disable_tracing,
+    enable_tracing,
+    new_trace_id,
+    trace_enabled,
+)
+from repro.telemetry.flightrec import SLOW_KEEP
 
 from .conftest import SMALL
 
@@ -100,6 +108,59 @@ class TestThreeTierTraceTree:
                 batch = next(c for c in root["children"]
                              if c["kind"] == "batch")
                 assert any(c["kind"] == "chunk" for c in batch["children"])
+
+
+def _retained_span_objects():
+    """Span records (dicts) and span objects alive anywhere in the heap."""
+    gc.collect()
+    return sum(1 for obj in gc.get_objects()
+               if (isinstance(obj, dict) and "span_id" in obj
+                   and "name" in obj)
+               or hasattr(type(obj), "span_id"))
+
+
+class TestTracedServer:
+    @pytest.fixture
+    def traced_small_ring(self, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        was_enabled, capacity = trace_enabled(), FLIGHT.capacity
+        enable_tracing()
+        FLIGHT.resize(16)
+        yield 16
+        FLIGHT.resize(capacity)
+        if not was_enabled:
+            disable_tracing()
+
+    def test_retention_bounded_and_kernel_spans_in_trace(
+            self, live_server, traced_small_ring):
+        """With tracing on, every span lands in the bounded ring: the
+        heap never holds more span records than the ring plus the slow
+        reservoir, and the kernel span under each batch reaches
+        ``/debug/trace``."""
+        capacity = traced_small_ring
+        baseline = _retained_span_objects()
+        server, port = live_server(batch_wait_ms=1)
+        with ServiceClient(port=port) as client:
+            client.wait_ready()
+            for _ in range(3):
+                for k in range(20):
+                    client.diagnose(small_payload(k % SMALL["fault_count"]))
+                assert len(FLIGHT.since()) <= capacity
+                assert (_retained_span_objects() - baseline
+                        <= capacity + SLOW_KEEP + 4)
+            trace_id = new_trace_id()
+            client.diagnose(small_payload(0), trace_id=trace_id)
+            tree = client.debug_trace(trace_id)
+        assert FLIGHT.recorded > 3 * capacity
+        (root,) = tree["roots"]
+        assert root["name"] == "service.request"
+        (batch,) = [c for c in root["children"]
+                    if c["name"] == "service.batch"]
+        assert "diagnose.batch_kernel" in {c["name"]
+                                           for c in batch["children"]}
+        del tree, root, batch  # the fetched copies, not retained spans
+        server.stop()
+        assert _retained_span_objects() - baseline <= capacity + SLOW_KEEP + 4
 
 
 class TestDebugEndpoints:

@@ -1,22 +1,29 @@
-"""Telemetry tests share the process-wide tracer/registry — isolate them."""
+"""Telemetry tests share the process-wide recorder/registry — isolate them."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.telemetry import METRICS, PROFILER, TRACER
+from repro.telemetry import (
+    FLIGHT,
+    METRICS,
+    PROFILER,
+    disable_tracing,
+    enable_tracing,
+    trace_enabled,
+)
 
 
 @pytest.fixture(autouse=True)
 def clean_telemetry():
-    """Reset the global tracer, registry and profiler samples around every
-    test, and restore the enabled flag (other test modules must keep
+    """Reset the flight recorder, registry and profiler samples around
+    every test, and restore the tracing flag (other test modules must keep
     seeing the default)."""
-    was_enabled = TRACER.enabled
-    TRACER.reset()
+    was_enabled = trace_enabled()
+    FLIGHT.reset()
     yield
-    TRACER.enabled = was_enabled
-    TRACER.reset()
+    (enable_tracing if was_enabled else disable_tracing)()
+    FLIGHT.reset()
     METRICS.reset()
     PROFILER.stop()
     PROFILER.data.clear()

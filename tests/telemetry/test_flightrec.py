@@ -2,7 +2,7 @@
 
 Covers the W3C-style traceparent helpers, the bounded ring and its
 slow/error reservoirs, and cross-trace tree assembly — in particular the
-link-grafting + parent-chain fixpoint that puts a coalesced batch span
+link-grafting + descendant walk that puts a coalesced batch span
 (and the fork chunks under it) into *every* member trace's tree.
 """
 
@@ -107,6 +107,22 @@ class TestFlightRecorder:
         assert snap["recorded"] == 10
         # Newest first, only the last `capacity` retained.
         assert [r["seq"] for r in snap["recent"]] == [9, 8, 7, 6]
+
+    def test_recorded_and_since_read_without_a_snapshot(self):
+        rec = FlightRecorder(capacity=4)
+        for i in range(3):
+            rec.record(_record(seq=i))
+        mark = rec.recorded
+        assert mark == 3
+        for i in range(3, 5):
+            rec.record(_record(seq=i))
+        assert [r["seq"] for r in rec.since(mark)] == [3, 4]
+        assert [r["seq"] for r in rec.since()] == [1, 2, 3, 4]
+        # More filed since the mark than the ring holds: what is left.
+        for i in range(5, 12):
+            rec.record(_record(seq=i))
+        assert [r["seq"] for r in rec.since(mark)] == [8, 9, 10, 11]
+        assert rec.since(rec.recorded) == []
 
     def test_slow_reservoir_keeps_slowest_requests_per_key(self):
         rec = FlightRecorder(capacity=2)  # tiny ring: reservoirs outlive it

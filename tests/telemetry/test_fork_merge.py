@@ -1,11 +1,11 @@
-"""Telemetry across forked workers: metric deltas and span adoption."""
+"""Telemetry across forked workers: metric deltas and span records."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.parallel import fork_available, parallel_map
-from repro.telemetry import METRICS, TRACER, enable_tracing, span
+from repro.telemetry import FLIGHT, METRICS, enable_tracing, span, trace_enabled
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -51,12 +51,19 @@ class TestForkMerge:
         enable_tracing()
         with span("driver") as driver:
             parallel_map(_task, 10, workers=2, min_items=2)
-        (pool_span,) = [c for c in driver.children if c.name == "pool.map"]
-        worker_spans = [
-            s for s in pool_span.walk() if s.name == "forktest.stage"
-        ]
+        records = FLIGHT.since()
+        (pool_map,) = [r for r in records if r["name"] == "pool.map"]
+        assert pool_map["parent_id"] == driver.span_id
+        chunks = {r["span_id"]: r for r in records
+                  if r["name"] == "pool.chunk"}
+        assert chunks and all(c["parent_id"] == pool_map["span_id"]
+                              for c in chunks.values())
+        assert any(c["pid"] != pool_map["pid"] for c in chunks.values())
+        worker_spans = [r for r in records if r["name"] == "forktest.stage"]
         assert len(worker_spans) == 10
-        assert sum(s.counters.get("items", 0) for s in worker_spans) == 10
+        assert all(s["parent_id"] in chunks for s in worker_spans)
+        assert sum(s["counters"].get("items", 0) for s in worker_spans) == 10
+        assert {r["trace_id"] for r in records} == {driver.trace_id}
 
     def test_serial_path_identical_results(self):
         serial = parallel_map(_task, 9, workers=0)
@@ -96,6 +103,7 @@ class TestSerialFallback:
         assert METRICS.counter_total("pool.tasks") == before
 
     def test_disabled_tracing_adds_no_spans(self):
-        assert not TRACER.enabled
+        assert not trace_enabled()
         parallel_map(_task, 4, workers=0)
-        assert TRACER.roots() == []
+        parallel_map(_task, 12, workers=2, min_items=2)
+        assert FLIGHT.since() == []

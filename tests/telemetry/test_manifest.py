@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.experiments.config import default_config
 from repro.telemetry import (
     METRICS,
@@ -19,6 +21,7 @@ from repro.telemetry import (
     write_manifest,
     write_trace_jsonl,
 )
+from repro.telemetry.flightrec import nest
 
 
 def _run_fake_pipeline():
@@ -167,12 +170,20 @@ class TestTraceJsonl:
     def test_jsonl_roundtrip(self, tmp_path):
         _run_fake_pipeline()
         path = write_trace_jsonl(tmp_path / "trace.jsonl")
-        spans = read_trace_jsonl(path)
-        assert [s.name for s in spans] == ["experiment:test"]
-        assert [c.name for c in spans[0].children] == [
+        lines = path.read_text().splitlines()
+        assert len(lines) == 4  # one flat record per span
+        assert all("children" not in json.loads(line) for line in lines)
+        records = read_trace_jsonl(path)
+        (root,) = nest(records)
+        assert root["name"] == "experiment:test"
+        assert [c["name"] for c in root["children"]] == [
             "workload.build", "diagnose"
         ]
-        # Rollup over the reloaded spans matches the live one by names.
-        live = {row["name"] for row in span_rollup()}
-        reloaded = {row["name"] for row in span_rollup(spans)}
-        assert live == reloaded
+        # The rollup over the reloaded records matches the live one.
+        assert span_rollup(records) == span_rollup()
+
+    def test_corrupt_line_named(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"name": "ok", "span_id": "a"}\n[1, 2]\n')
+        with pytest.raises(ValueError, match="line 2"):
+            read_trace_jsonl(path)

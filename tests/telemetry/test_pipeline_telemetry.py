@@ -9,7 +9,13 @@ from repro.experiments import default_config
 from repro.experiments import cache
 from repro.experiments.runner import build_circuit_workload, evaluate_scheme
 from repro.experiments.table1 import run_table1
-from repro.telemetry import METRICS, TRACER, enable_tracing, span_rollup
+from repro.telemetry import (
+    FLIGHT,
+    METRICS,
+    enable_tracing,
+    span_rollup,
+    trace_enabled,
+)
 
 
 @pytest.fixture
@@ -68,10 +74,10 @@ class TestTracedRun:
 
 class TestDisabledRun:
     def test_no_spans_no_stderr_and_identical_dr(self, small_config, capsys):
-        assert not TRACER.enabled
+        assert not trace_enabled()
         cache.clear()
         untraced = run_table1(small_config)
-        assert TRACER.roots() == []
+        assert FLIGHT.since() == []
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out == ""

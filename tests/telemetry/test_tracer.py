@@ -2,19 +2,33 @@
 
 from __future__ import annotations
 
-import sys
+import json
 import time
 
 from repro.telemetry import (
+    FLIGHT,
     NULL_SPAN,
-    Span,
-    TRACER,
+    FlightRecorder,
     disable_tracing,
     enable_tracing,
+    new_span_id,
+    new_trace_id,
     span,
+    span_rollup,
     trace_enabled,
     traced,
 )
+from repro.telemetry.flightrec import nest
+
+
+def _by_name():
+    return {r["name"]: r for r in FLIGHT.since()}
+
+
+def _walk(node):
+    yield node
+    for child in node["children"]:
+        yield from _walk(child)
 
 
 class TestNesting:
@@ -26,8 +40,13 @@ class TestNesting:
                     pass
             with span("middle2"):
                 pass
-        assert [c.name for c in outer.children] == ["middle", "middle2"]
-        assert [c.name for c in middle.children] == ["inner"]
+        records = _by_name()
+        assert records["middle"]["parent_id"] == outer.span_id
+        assert records["middle2"]["parent_id"] == outer.span_id
+        assert records["inner"]["parent_id"] == middle.span_id
+        assert records["outer"]["parent_id"] is None
+        # Nested spans share the root's trace; only the root minted one.
+        assert {r["trace_id"] for r in records.values()} == {outer.trace_id}
 
     def test_finished_roots_collected_in_order(self):
         enable_tracing()
@@ -35,7 +54,9 @@ class TestNesting:
             pass
         with span("second"):
             pass
-        assert [s.name for s in TRACER.roots()] == ["first", "second"]
+        records = FLIGHT.since()
+        assert [r["name"] for r in records] == ["first", "second"]
+        assert records[0]["trace_id"] != records[1]["trace_id"]
 
     def test_attributes_and_counters(self):
         enable_tracing()
@@ -43,8 +64,10 @@ class TestNesting:
             sp.set_attribute("patterns", 128)
             sp.add("faults", 3)
             sp.add("faults", 2)
-        assert sp.attributes == {"circuit": "s953", "patterns": 128}
-        assert sp.counters == {"faults": 5}
+        (record,) = FLIGHT.since()
+        assert record["kind"] == "span"
+        assert record["circuit"] == "s953" and record["patterns"] == 128
+        assert record["counters"] == {"faults": 5}
 
     def test_walk_covers_whole_tree(self):
         enable_tracing()
@@ -54,32 +77,37 @@ class TestNesting:
                     pass
             with span("d"):
                 pass
-        (root,) = TRACER.roots()
-        assert [s.name for s in root.walk()] == ["a", "b", "c", "d"]
+        (root,) = nest(FLIGHT.since())
+        assert [n["name"] for n in _walk(root)] == ["a", "b", "c", "d"]
 
 
 class TestTiming:
     def test_durations_monotone_and_nested(self):
         enable_tracing()
-        with span("outer") as outer:
+        with span("outer"):
             time.sleep(0.002)
-            with span("inner") as inner:
+            with span("inner"):
                 time.sleep(0.002)
             time.sleep(0.002)
-        assert outer.closed and inner.closed
-        assert inner.duration_s > 0
-        assert outer.duration_s >= inner.duration_s
-        assert inner.start_wall >= outer.start_wall
-        assert inner.end_wall <= outer.end_wall
+        records = _by_name()
+        outer, inner = records["outer"], records["inner"]
+        assert inner["duration_ms"] > 0
+        assert outer["duration_ms"] >= inner["duration_ms"]
+        assert inner["start"] >= outer["start"]
+        assert (inner["start"] + inner["duration_ms"] / 1000
+                <= outer["start"] + outer["duration_ms"] / 1000 + 1e-3)
         # Self time excludes the child.
-        assert outer.self_s <= outer.duration_s - inner.duration_s + 1e-6
+        rollup = {row["name"]: row for row in span_rollup()}
+        assert rollup["outer"]["self_s"] <= (
+            rollup["outer"]["wall_s"] - rollup["inner"]["wall_s"] + 1e-6)
 
     def test_cpu_time_recorded(self):
         enable_tracing()
-        with span("busy") as sp:
+        with span("busy"):
             sum(i * i for i in range(50_000))
-        assert sp.cpu_s > 0
-        assert sp.duration_s > 0
+        (record,) = FLIGHT.since()
+        assert record["cpu_ms"] > 0
+        assert record["duration_ms"] > 0
 
 
 class TestDisabled:
@@ -89,7 +117,7 @@ class TestDisabled:
             with span("nested"):
                 pass
         assert sp is NULL_SPAN
-        assert TRACER.roots() == []
+        assert FLIGHT.since() == []
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out == ""
@@ -99,7 +127,7 @@ class TestDisabled:
         with span("x") as sp:
             sp.set_attribute("k", "v")
             sp.add("n", 3)
-        assert TRACER.roots() == []
+        assert FLIGHT.since() == []
 
     def test_decorator_passthrough_when_disabled(self):
         disable_tracing()
@@ -109,7 +137,7 @@ class TestDisabled:
             return x + 1
 
         assert compute(1) == 2
-        assert TRACER.roots() == []
+        assert FLIGHT.since() == []
 
     def test_enable_disable_roundtrip(self):
         disable_tracing()
@@ -118,7 +146,15 @@ class TestDisabled:
         assert trace_enabled()
         with span("now-on"):
             pass
-        assert [s.name for s in TRACER.roots()] == ["now-on"]
+        assert [r["name"] for r in FLIGHT.since()] == ["now-on"]
+
+    def test_serving_tiers_recorded_while_disabled(self):
+        disable_tracing()
+        with span("service.batch", kind="batch", key="s27/two-step") as sp:
+            pass
+        (record,) = FLIGHT.since()
+        assert record["span_id"] == sp.span_id
+        assert record["kind"] == "batch" and record["key"] == "s27/two-step"
 
 
 class TestDecorator:
@@ -130,8 +166,8 @@ class TestDecorator:
             return 42
 
         assert stage() == 42
-        (root,) = TRACER.roots()
-        assert root.name.endswith("stage")
+        (record,) = FLIGHT.since()
+        assert record["name"].endswith("stage")
 
 
 class TestWireFormat:
@@ -141,23 +177,26 @@ class TestWireFormat:
             root.add("events", 7)
             with span("leaf"):
                 pass
-        data = root.to_dict()
-        clone = Span.from_dict(data)
-        assert clone.name == "root"
-        assert clone.attributes == {"circuit": "s27"}
-        assert clone.counters == {"events": 7}
-        assert [c.name for c in clone.children] == ["leaf"]
-        assert abs(clone.duration_s - root.duration_s) < 1e-6
+        records = json.loads(json.dumps(FLIGHT.since()))
+        (clone,) = nest(records)
+        assert clone["name"] == "root"
+        assert clone["circuit"] == "s27"
+        assert clone["counters"] == {"events": 7}
+        assert [c["name"] for c in clone["children"]] == ["leaf"]
+        assert clone["duration_ms"] == _by_name()["root"]["duration_ms"]
 
     def test_capture_and_adopt(self):
-        """The fork-merge protocol: spans closed inside a capture are
-        detached, and adopt re-attaches them under the current span."""
+        """The fork-merge protocol: the records a span filed are read off
+        the recorder's counter, and filing them in another recorder keeps
+        the parentage given through ``parent``."""
         enable_tracing()
-        with TRACER.capture() as collected:
-            with span("worker-stage"):
-                pass
-        assert [s.name for s in collected] == ["worker-stage"]
-        assert TRACER.roots() == []  # captured, not filed globally
-        with span("parent") as parent:
-            TRACER.adopt([s.to_dict() for s in collected])
-        assert [c.name for c in parent.children] == ["worker-stage"]
+        parent = (new_trace_id(), new_span_id())
+        mark = FLIGHT.recorded
+        with span("worker-stage", parent=parent):
+            pass
+        collected = FLIGHT.since(mark)
+        assert [r["name"] for r in collected] == ["worker-stage"]
+        adopter = FlightRecorder(capacity=8)
+        adopter.record_many(collected)
+        (record,) = adopter.since()
+        assert (record["trace_id"], record["parent_id"]) == parent

@@ -71,15 +71,16 @@ class TestExperiment:
         monkeypatch.setenv("REPRO_PROFILE_HZ", "2000")
         clear_caches()
         monkeypatch.chdir(tmp_path)
-        was_enabled = telemetry.TRACER.enabled
-        telemetry.TRACER.reset()
+        was_enabled = telemetry.trace_enabled()
+        telemetry.FLIGHT.reset()
         try:
             code = experiment_main(["table1", "--quick", "--profile",
                                     "--trace"])
         finally:
             telemetry.PROFILER.stop()
-            telemetry.TRACER.enabled = was_enabled
-            telemetry.TRACER.reset()
+            if not was_enabled:
+                telemetry.disable_tracing()
+            telemetry.FLIGHT.reset()
         assert code == 0
         folded = (tmp_path / "profile.folded").read_text()
         assert folded.strip(), "profiler collected no samples"
@@ -101,6 +102,9 @@ class TestExperiment:
         # got them — just that the per-span hot-function tables rendered.
         assert "Profile:" in out
         assert "self %" in out
+        # The span log (one record per line) summarizes too.
+        assert stats_main([str(tmp_path / "trace.jsonl")]) == 0
+        assert "diagnose" in capsys.readouterr().out
 
     def test_all_runners_registered(self):
         expected = {
@@ -121,6 +125,40 @@ class TestMain:
 
     def test_dispatch_diagnose(self, capsys):
         assert main(["diagnose", "s953", "--faults", "2"]) == 0
+
+
+class TestTraceExport:
+    def test_wrapped_ring_logs_lost_records(self, capsys, tmp_path,
+                                            monkeypatch):
+        """The --trace export reads the flight recorder ring back; when
+        the run filed more records than the ring holds, it says so."""
+        import argparse
+        import json
+
+        from repro import telemetry
+        from repro.cli import _export_run_telemetry
+
+        monkeypatch.setenv("REPRO_LOG", "info")
+        monkeypatch.chdir(tmp_path)
+        was_enabled = telemetry.trace_enabled()
+        capacity = telemetry.FLIGHT.capacity
+        telemetry.FLIGHT.resize(4)
+        mark = telemetry.FLIGHT.recorded
+        telemetry.enable_tracing()
+        try:
+            for _ in range(10):
+                with telemetry.span("stage"):
+                    pass
+            args = argparse.Namespace(trace_out=None, manifest=None)
+            _export_run_telemetry(args, None, mark)
+        finally:
+            telemetry.FLIGHT.resize(capacity)
+            telemetry.FLIGHT.reset()
+            if not was_enabled:
+                telemetry.disable_tracing()
+        assert "6 span records were lost" in capsys.readouterr().err
+        lines = (tmp_path / "trace.jsonl").read_text().splitlines()
+        assert [json.loads(line)["name"] for line in lines] == ["stage"] * 4
 
 
 class TestStatsRobustness:
@@ -188,7 +226,7 @@ class TestStatsRobustness:
             pass
         manifest = telemetry.build_manifest()
         telemetry.disable_tracing()
-        telemetry.TRACER.reset()
+        telemetry.FLIGHT.reset()
         del manifest["metrics"]
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest, default=repr))
