@@ -23,9 +23,6 @@ Stages, per benchmark circuit:
   ``fault_batch_speedup`` is the event/batch ratio; ``fault_sim_s``
   keeps tracking the *default* path so the trajectory key stays
   comparable across PRs.
-* ``transport_bytes_packed`` vs ``transport_bytes_legacy_pickle`` — bytes
-  the fork pool ships per fault-sim pass with the packed codec, against
-  what pickling the same responses the pre-PR 4 way would have cost.
 * ``serve_coldstart_cold_s`` / ``serve_coldstart_disk_warm_s`` — time for
   a fresh :class:`DiagnosisEngine` to resolve its first request, cold vs
   warm-from-disk.
@@ -58,8 +55,8 @@ mostly measures scheduling overhead), and the chaos run's recovery.
 A ``"serve_overhead"`` section (PR 10) measures what end-to-end request
 tracing plus the always-on flight recorder cost on the serve path.
 ``serve_overhead_pct`` is the hot-path CPU tracing adds per request
-(traced vs untraced tight loops mirroring the server handler, best of
-five interleaved reps) over the per-request server CPU measured under
+(traced vs untraced tight loops over the server's own request and
+batch spans, best of five interleaved reps) over the per-request server CPU measured under
 sustained load against one persistent prewarmed server — budget <=3%,
 enforced by ``--check``.  A per-request CPU A/B of the two modes
 (flight recorder flipped live via ``POST /debug/flightrec``) rides
@@ -95,7 +92,6 @@ Run:  PYTHONPATH=src python scripts/bench.py [--circuits s953 s5378]
 import argparse
 import json
 import os
-import pickle
 import platform
 import socket
 import subprocess
@@ -124,7 +120,7 @@ from repro.sim.bitops import WORD_BITS
 from repro.sim.faults import collapse_faults
 from repro.sim.faultsim import FaultSimulator
 from repro.soc.core_wrapper import EmbeddedCore, _name_seed
-from repro.telemetry import METRICS, SamplingProfiler, log
+from repro.telemetry import SamplingProfiler, log
 
 NUM_GROUPS = 4
 PR_NUMBER = 10
@@ -249,15 +245,14 @@ def bench_circuit(name, config, num_partitions, repeats=3, fault_cap=400):
     timings["good_sim_pergate_s"] = pergate_s
     timings["soa_speedup"] = pergate_s / soa_s if soa_s else None
 
-    # Event-driven oracle vs the fault-batched cone kernel, both serial so
-    # the ratio isolates the kernel (not the pool).  ``fault_sim_s`` keeps
-    # naming the *default* path so the cross-PR trajectory key stays
+    # Event-driven oracle vs the fault-batched cone kernel.  ``fault_sim_s``
+    # keeps naming the *default* path so the cross-PR trajectory key stays
     # meaningful.
     event_s, event_responses = best_of(
-        repeats, lambda: sim.simulate_faults(sample, workers=0, batch=0)
+        repeats, lambda: sim.simulate_faults(sample, batch=0)
     )
     batch_s, batch_responses = best_of(
-        repeats, lambda: sim.simulate_faults(sample, workers=0)
+        repeats, lambda: sim.simulate_faults(sample)
     )
     for a, b in zip(event_responses, batch_responses):
         assert a.cell_errors.keys() == b.cell_errors.keys(), (
@@ -273,7 +268,7 @@ def bench_circuit(name, config, num_partitions, repeats=3, fault_cap=400):
     os.environ["REPRO_SOA"] = "0"
     try:
         batch_pergate_s, _ = best_of(
-            repeats, lambda: sim.simulate_faults(sample, workers=0)
+            repeats, lambda: sim.simulate_faults(sample)
         )
     finally:
         if saved_soa is None:
@@ -291,19 +286,7 @@ def bench_circuit(name, config, num_partitions, repeats=3, fault_cap=400):
     timings["num_faults_simulated"] = len(sample)
     timings["faults_per_sec"] = len(sample) / batch_s if batch_s else None
 
-    # Transport bytes across the fork pool: the packed codec's actual
-    # shipped payload vs what pickling the same responses per-chunk (the
-    # pre-PR 4 wire format) would have cost.
-    before = METRICS.snapshot()
-    sim.simulate_faults(sample, workers=2)
-    shipped = METRICS.diff(before)["counters"].get("pool.transport_bytes", 0)
-    timings["transport_bytes_packed"] = int(shipped)
-    timings["transport_bytes_legacy_pickle"] = len(
-        pickle.dumps(event_responses, protocol=5)
-    )
-
-    # The population-fused diagnosis kernel vs the per-fault oracle, both
-    # serial so the ratio isolates the kernel (not the pool).  The
+    # The population-fused diagnosis kernel vs the per-fault oracle.  The
     # population is pinned to DIAG_POPULATION faults in *both* bench
     # modes: the speedup grows with population size (the batch path
     # amortizes), and CI gates a --quick run against the committed full
@@ -322,14 +305,13 @@ def bench_circuit(name, config, num_partitions, repeats=3, fault_cap=400):
         max(repeats, 3),
         lambda: diagnose_population(
             diag_responses, workload.scan_config, partitions, compactor,
-            workers=0,
         ),
     )
     diag_perfault_s, perfault_results = best_of(
         max(repeats, 3),
         lambda: diagnose_population(
             diag_responses, workload.scan_config, partitions, compactor,
-            workers=0, chunk=0,
+            chunk=0,
         ),
     )
     for a, b in zip(perfault_results, batch_results):
@@ -441,11 +423,11 @@ def bench_disk_cache(name, config, num_partitions):
             # populates the disk tier for the warm passes below.
             clear_caches()
             t0 = time.perf_counter()
-            DiagnosisEngine(workers=0).prewarm(request)
+            DiagnosisEngine().prewarm(request)
             timings["serve_coldstart_cold_s"] = time.perf_counter() - t0
 
             clear_caches()
-            engine = DiagnosisEngine(workers=0)
+            engine = DiagnosisEngine()
             t0 = time.perf_counter()
             engine.warm_from_disk()
             engine.prewarm(request)
@@ -547,70 +529,70 @@ def bench_cluster(circuit, quick, cluster_workers=4):
 def _traced_path_delta_us(batch_size=8, iters=10000, reps=5):
     """Per-request CPU cost (µs) tracing *adds* to the serve hot path.
 
-    Mirrors ``DiagnosisServer._handle_diagnose`` in both modes exactly:
-    the traced path parses the client traceparent, installs the trace
-    scope, appends the request record to a live 4096-slot flight
-    recorder and amortizes the engine's per-batch span record over the
-    batch; the untraced path mints its own trace id, installs the same
-    scope and builds the same record, which a disabled recorder drops.
-    The difference of the two tight loops (best of ``reps``,
-    interleaved) is the gate's numerator.  An end-to-end throughput A/B
-    of the same quantity was tried first and abandoned: the effect is a
-    few µs per ~300 µs request, and phase-to-phase noise on a shared
-    box (drift, frequency scaling, batching luck) is 10-30% — runs
-    disagreed on the *sign*.  The hot-path delta is the quantity the
-    budget actually constrains, and two tight loops resolve it to
-    fractions of a µs.
+    Runs the spans ``DiagnosisServer._handle_diagnose`` and
+    ``DiagnosisEngine._diagnose_many`` run, with the attributes they set:
+    a ``service.request`` span per request and, amortized over the
+    batch, one ``service.batch`` span linked to the other members.  The
+    traced mode parses a client traceparent and files the records in the
+    process flight recorder at 4096 slots; the untraced mode lets the
+    server mint the trace id and files into the recorder switched off
+    (``capacity=0``), which drops the records.  The difference of the
+    two tight loops (best of ``reps``, interleaved) is the gate's
+    numerator.  An end-to-end throughput A/B of the same quantity was
+    tried first and abandoned: the effect is a few µs per ~300 µs
+    request, and phase-to-phase noise on a shared box (drift, frequency
+    scaling, batching luck) is 10-30% — runs disagreed on the *sign*.
+    The hot-path delta is the quantity the budget actually constrains,
+    and two tight loops resolve it to fractions of a µs.
     """
+    from repro.telemetry import FLIGHT, span
     from repro.telemetry.flightrec import (
-        FlightRecorder, format_traceparent, make_record, new_span_id,
-        new_trace_id, parse_traceparent, trace_scope,
+        format_traceparent, new_span_id, new_trace_id, parse_traceparent,
     )
 
-    rec_on = FlightRecorder(capacity=4096)
-    rec_off = FlightRecorder(capacity=0)
     header = format_traceparent(new_trace_id(), new_span_id())
-    key = "s953/partition"
+    circuit, scheme = "s953", "two-step"
+    key = f"{circuit}/{scheme}"
+    members = []
 
-    def request(rec, traced, seq):
-        started = time.time()
-        if traced:
-            trace_id, client_span = parse_traceparent(header)
-        else:
-            trace_id, client_span = new_trace_id(), None
-        server_span = new_span_id()
-        with trace_scope(trace_id, server_span):
-            pass
-        rec.record(make_record(
-            "service.request", trace_id, server_span,
-            parent_id=client_span, kind="request", key=key,
-            start=started, duration_ms=0.3 + (seq % 7) * 0.01,
-            status="ok", queue_wait_ms=0.1, execute_ms=0.2,
-            batch_size=batch_size,
-        ))
-        if traced and seq % batch_size == 0:
-            # The engine records one batch span per coalesced batch;
-            # charge this request its amortized share.
-            batch_span = new_span_id()
-            rec.record(make_record(
-                "service.batch", trace_id, batch_span,
-                parent_id=server_span, kind="batch", key="batch",
-                start=started, duration_ms=2.0, batch_size=batch_size,
-                links=[{"trace_id": trace_id, "span_id": server_span}
-                       for _ in range(batch_size - 1)],
-            ))
+    def request(traced, seq):
+        parent = parse_traceparent(header if traced else None)
+        with span("service.request", kind="request", parent=parent,
+                  key="/diagnose") as request_span:
+            request_span.set_attribute("key", key)
+            members.append((request_span.trace_id, request_span.span_id))
+            if seq % batch_size == batch_size - 1:
+                # The engine files one batch span per coalesced batch;
+                # this request pays the whole batch's share.
+                with span("service.batch", kind="batch", parent=members[0],
+                          key=key,
+                          links=[{"trace_id": t, "span_id": s}
+                                 for t, s in members[1:]],
+                          batch_size=len(members), circuit=circuit,
+                          scheme=scheme):
+                    pass
+                members.clear()
+            request_span.set_attribute("queue_wait_ms", 0.1)
+            request_span.set_attribute("execute_ms", 0.2)
+            request_span.set_attribute("batch_size", batch_size)
 
-    def loop(rec, traced):
+    def loop(traced):
+        FLIGHT.resize(4096 if traced else 0)
+        members.clear()
         t0 = time.perf_counter()
         for seq in range(iters):
-            request(rec, traced, seq)
+            request(traced, seq)
         return (time.perf_counter() - t0) / iters * 1e6
 
-    on_us, off_us = [], []
-    loop(rec_on, True), loop(rec_off, False)  # warm both paths
-    for _ in range(reps):
-        on_us.append(loop(rec_on, True))
-        off_us.append(loop(rec_off, False))
+    saved = FLIGHT.capacity
+    try:
+        on_us, off_us = [], []
+        loop(True), loop(False)  # warm both paths
+        for _ in range(reps):
+            on_us.append(loop(True))
+            off_us.append(loop(False))
+    finally:
+        FLIGHT.resize(saved)
     return min(on_us), min(off_us)
 
 
@@ -647,7 +629,7 @@ def bench_serve_overhead(circuit, quick):
             return sock.getsockname()[1]
 
     def spawn_server(port):
-        env = dict(os.environ, REPRO_LOG="quiet", REPRO_WORKERS="1")
+        env = dict(os.environ, REPRO_LOG="quiet")
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
         return subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve",

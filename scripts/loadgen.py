@@ -168,6 +168,15 @@ def get_text(host: str, port: int, path: str) -> str:
         conn.close()
 
 
+def _span_names(nodes: List[Dict[str, Any]]) -> set:
+    """Every span name in an assembled tree (a node's ``children`` nest)."""
+    names = set()
+    for node in nodes:
+        names.add(node.get("name", "?"))
+        names |= _span_names(node.get("children") or ())
+    return names
+
+
 def check_debug_plane(args: argparse.Namespace, client: ServiceClient,
                       trace_ids: List[str]) -> Dict[str, Any]:
     """Exercise the debug plane after a traced run.
@@ -186,16 +195,15 @@ def check_debug_plane(args: argparse.Namespace, client: ServiceClient,
             candidate = client.debug_trace(trace_id)
         if candidate.get("span_count"):
             tree = candidate
-            if len(candidate.get("pids") or ()) >= 2:
-                break
+            break
     if tree is not None:
         result["trace"] = {
             "trace_id": tree.get("trace_id"),
             "span_count": tree.get("span_count"),
             "pids": tree.get("pids"),
+            "workers": tree.get("workers"),
             "roots": len(tree.get("roots") or ()),
-            "span_names": sorted({r.get("name", "?")
-                                  for r in tree.get("records") or ()}),
+            "span_names": sorted(_span_names(tree.get("roots") or ())),
         }
     if args.workers > 1:
         folded = get_text(args.host, args.control_port,
@@ -446,7 +454,7 @@ def verify_determinism(args: argparse.Namespace,
         if o.code == "ok" and o.candidates is not None:
             by_index.setdefault(o.fault_index, set()).add(o.candidates)
     unstable = sorted(i for i, seen in by_index.items() if len(seen) > 1)
-    engine = DiagnosisEngine(workers=0)
+    engine = DiagnosisEngine()
     mismatched = []
     for index, seen in sorted(by_index.items()):
         request = DiagnoseRequest.from_payload({
@@ -534,7 +542,6 @@ def check_metrics(args: argparse.Namespace,
         "latency": payload.get("latency"),
         "rejected": payload.get("rejected"),
         "timeouts": payload.get("timeouts"),
-        "degraded": payload.get("degraded"),
         "cache": payload.get("cache"),
     }
 
@@ -660,9 +667,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "sent": sum(1 for o in outcomes if o.trace_id),
                 "ok": len(ok_traced),
                 "echoed": sum(1 for o in ok_traced if o.trace_echoed),
-                # Late outcomes sit past warmup, when coalesced batches
-                # are big enough to fan out to fork workers — their
-                # trees are the interesting ones for /debug/trace.
+                # Late outcomes sit past warmup, when every cluster
+                # worker is serving.
                 "sample_trace_ids": [o.trace_id for o in ok_traced[-20:]],
             }
 

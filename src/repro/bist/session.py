@@ -144,8 +144,8 @@ class OutcomeViews(SequenceABC):
 
     ``tensor[p, :group_counts[p]]`` is partition ``p``'s signature matrix;
     groups beyond a partition's count are zero, so consumers that want the
-    whole tensor (superposition, the fork-pool codec) read ``tensor``
-    directly instead of restacking the outcomes.
+    whole tensor (superposition) read ``tensor`` directly instead of
+    restacking the outcomes.
     """
 
     __slots__ = ("tensor", "group_counts")

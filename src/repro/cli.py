@@ -22,7 +22,7 @@ Entry points (also runnable as ``python -m repro.cli``):
   (rps, latency quantiles, queue depth, per-worker health, slowest
   traces); point it at a server port or a supervisor control port.
 * ``python -m repro.cli stats <manifest.json|trace.jsonl>`` — render the
-  hot-path table and cache/pool summaries of a previous traced run.
+  hot-path table and cache/kernel summaries of a previous traced run.
 
 Deliverable output (tables, DR numbers) goes to stdout; progress and
 telemetry go through :mod:`repro.telemetry` to stderr (``REPRO_LOG``,
@@ -264,7 +264,7 @@ def _export_run_telemetry(
 
 def stats_main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``python -m repro.cli stats``: render the hot-path
-    table and cache/pool summaries of a traced run."""
+    table and cache/kernel summaries of a traced run."""
     parser = argparse.ArgumentParser(
         prog="repro stats",
         description="Summarize a run manifest (manifest.json) or span log "
@@ -341,10 +341,6 @@ def stats_main(argv: Optional[List[str]] = None) -> int:
             print(render_table(
                 "Diagnosis kernel", ["metric", "value"], diagnosis_rows
             ))
-        pool_rows = _pool_summary(metrics)
-        if pool_rows:
-            print()
-            print(render_table("Worker pool", ["metric", "value"], pool_rows))
     if profile and profile.get("enabled") and profile.get("spans"):
         _print_profile_tables(profile, render_table)
     return 0
@@ -430,7 +426,7 @@ def _load_telemetry(path: Path):
     crashed or killed traced run leaves exactly those behind — and for
     manifests that record spans but no ``metrics`` section (a partial
     export the summaries below would silently misreport as "no cache /
-    pool / kernel activity").
+    kernel activity").
     """
     if path.stat().st_size == 0:
         raise TelemetryFileError(
@@ -574,47 +570,6 @@ def _diagnosis_summary(metrics: Dict[str, Any]) -> List[list]:
                      f"{chunk['min']:.0f}/"
                      f"{chunk['sum'] / chunk['count']:.1f}/"
                      f"{chunk['max']:.0f}"])
-    return rows
-
-
-def _pool_summary(metrics: Dict[str, Any]) -> List[list]:
-    counters = metrics.get("counters", {})
-    gauges = metrics.get("gauges", {})
-    histograms = metrics.get("histograms", {})
-    tasks_per_worker = {
-        telemetry.split_metric_key(key)[1].get("worker", "?"): value
-        for key, value in counters.items()
-        if telemetry.split_metric_key(key)[0] == "pool.tasks"
-    }
-    if not tasks_per_worker and "pool.workers_seen" not in gauges:
-        return []
-    rows: List[list] = []
-    if "pool.workers_seen" in gauges:
-        rows.append(["workers", int(gauges["pool.workers_seen"])])
-    if tasks_per_worker:
-        counts = sorted(tasks_per_worker.values())
-        rows.append(["tasks/worker (min..max)",
-                     f"{int(counts[0])}..{int(counts[-1])}"])
-    chunk = histograms.get("pool.chunk_size")
-    if chunk and chunk.get("count"):
-        rows.append(["chunks", int(chunk["count"])])
-        rows.append(["chunk size (min/mean/max)",
-                     f"{chunk['min']:.0f}/{chunk['sum'] / chunk['count']:.1f}/"
-                     f"{chunk['max']:.0f}"])
-    wall = histograms.get("pool.map_wall_s")
-    if wall and wall.get("count"):
-        rows.append(["parallel sections", int(wall["count"])])
-        rows.append(["parallel wall total", f"{wall['sum']:.3f}s"])
-    if "pool.utilization" in gauges:
-        rows.append(["utilization (last section)",
-                     f"{gauges['pool.utilization']:.1%}"])
-    if "pool.transport_bytes" in counters:
-        rows.append(["transport payload",
-                     _human_bytes(int(counters["pool.transport_bytes"]))])
-    if "pool.result_bytes" in counters:
-        rows.append(["result payload", f"{int(counters['pool.result_bytes'])} B"])
-    if "pool.pickle_s" in counters:
-        rows.append(["result pickle time", f"{counters['pool.pickle_s']:.3f}s"])
     return rows
 
 

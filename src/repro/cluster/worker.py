@@ -1,7 +1,7 @@
 """Worker-process runtime for the prefork cluster.
 
 Each worker is a full :class:`~repro.service.server.DiagnosisServer`
-(its own event loop, batch queue, executor and fork pool) accepting on a
+(its own event loop, batch queue and executor) accepting on a
 socket shared with its siblings — either its own ``SO_REUSEPORT`` bind of
 the cluster port (the kernel load-balances accepts) or the supervisor's
 inherited listen FD.  On top of serving it runs exactly one extra task:

@@ -26,24 +26,19 @@ untouched.
 
 ``REPRO_DIAGNOSIS_BATCH`` gates the kernel: unset/empty runs fused with the
 default chunk, ``0`` falls back to the per-fault oracle, any other integer
-is the number of faults fused per chunk (bounding the event tensor).  With
-``workers > 1`` chunks fan out over the fork pool through
-:func:`repro.parallel.parallel_map`, with a packed transport codec that
-ships each chunk's results as a handful of flat arrays instead of
-thousands of pickled Python objects.
+is the number of faults fused per chunk (bounding the event tensor).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..bist.misr import LinearCompactor
 from ..bist.scan import ScanConfig
 from ..bist.session import OutcomeViews, collect_population_events
-from ..parallel import Codec, parallel_map, resolve_workers
 from ..sim.bitops import (
     count_bits,
     num_position_words,
@@ -100,12 +95,11 @@ def diagnose_population(
     compactor: Optional[LinearCompactor] = None,
     channel_resolution: bool = True,
     chunk: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> List[DiagnosisResult]:
     """Diagnose a whole fault population, fused (default) or per fault.
 
     Bit-identical to ``[diagnose(r, ...) for r in responses]`` for any
-    chunk size and worker count.  Falls back to the per-fault path when
+    chunk size.  Falls back to the per-fault path when
     fusion is disabled, the compactor only implements the scalar
     ``impulse_response`` protocol, or the responses disagree on the
     pattern count (the stacked extraction needs uniform word vectors).
@@ -121,45 +115,27 @@ def diagnose_population(
         return []
     if chunk == 0 or not batched_compactor or not uniform:
         METRICS.incr("diagnosis.perfault_faults", len(responses))
-        return parallel_map(
-            lambda i: diagnose(
-                responses[i], scan_config, partitions, compactor,
+        return [
+            diagnose(
+                response, scan_config, partitions, compactor,
                 channel_resolution=channel_resolution,
-            ),
-            len(responses),
-            workers,
-        )
+            )
+            for response in responses
+        ]
     validate_partition_set(partitions)
     if partitions[0].length != scan_config.max_length:
         raise ValueError(
             f"partition length {partitions[0].length} != scan configuration "
             f"length {scan_config.max_length}"
         )
-    chunks = [
-        (start, min(start + chunk, len(responses)))
+    return [
+        result
         for start in range(0, len(responses), chunk)
-    ]
-    if len(chunks) > 1 and resolve_workers(workers) > 1:
-        codec = _make_chunk_codec(partitions, scan_config.max_length)
-        chunk_results = parallel_map(
-            lambda c: _diagnose_chunk(
-                responses[chunks[c][0]:chunks[c][1]], scan_config, partitions,
-                compactor, channel_resolution,
-            ),
-            len(chunks),
-            workers,
-            min_items=2,
-            codec=codec,
+        for result in _diagnose_chunk(
+            responses[start:start + chunk], scan_config, partitions,
+            compactor, channel_resolution,
         )
-    else:
-        chunk_results = [
-            _diagnose_chunk(
-                responses[lo:hi], scan_config, partitions, compactor,
-                channel_resolution,
-            )
-            for lo, hi in chunks
-        ]
-    return [result for group in chunk_results for result in group]
+    ]
 
 
 def scatter_population_signatures(
@@ -348,83 +324,3 @@ def verdict_prefixes(
     for p in range(1, num_parts):
         planes[p] &= planes[p - 1]
     return count_bits(planes, axis=(2, 3)), planes[-1]
-
-
-# -- packed chunk transport ----------------------------------------------------
-
-
-def _make_chunk_codec(partitions: Sequence[Partition], length: int) -> Codec:
-    """Transport codec for forked chunk results.
-
-    A chunk's :class:`DiagnosisResult` list is mostly numpy state sliced
-    out of shared tensors; pickling the objects directly would ship
-    thousands of small arrays and Python sets.  The codec re-packs each
-    pool chunk into a handful of flat arrays (signature tensor, packed
-    candidate masks, concatenated cell lists with offsets) and rebuilds
-    bit-identical results in the parent.  The partition list never crosses
-    the pipe — both sides already hold it (fork inheritance in the child,
-    the closure here in the parent).
-    """
-    group_counts = [part.num_groups for part in partitions]
-    partitions_list = list(partitions)
-
-    def encode(chunk_lists: List[List[DiagnosisResult]]) -> Dict[str, Any]:
-        flat = [result for group in chunk_lists for result in group]
-        actual = [np.asarray(sorted(r.actual_cells), dtype=np.int64)
-                  for r in flat]
-        cand = [np.asarray(sorted(r.candidate_cells), dtype=np.int64)
-                for r in flat]
-        return {
-            "chunk_lens": np.asarray(
-                [len(group) for group in chunk_lists], dtype=np.int64
-            ),
-            "signatures": np.stack([r.outcomes.tensor for r in flat]),
-            "mask_words": position_words(
-                np.stack([r.position_mask for r in flat])
-            ),
-            "history": np.asarray(
-                [r.candidate_history for r in flat], dtype=np.int64
-            ),
-            "actual": np.concatenate(actual),
-            "actual_offsets": np.cumsum(
-                [0] + [a.size for a in actual], dtype=np.int64
-            ),
-            "cand": np.concatenate(cand),
-            "cand_offsets": np.cumsum(
-                [0] + [c.size for c in cand], dtype=np.int64
-            ),
-        }
-
-    def decode(wire: Dict[str, Any]) -> List[List[DiagnosisResult]]:
-        masks = word_positions(wire["mask_words"], length)
-        signatures = wire["signatures"]
-        history = wire["history"].tolist()
-        actual = wire["actual"]
-        actual_offsets = wire["actual_offsets"].tolist()
-        cand = wire["cand"]
-        cand_offsets = wire["cand_offsets"].tolist()
-        results = [
-            DiagnosisResult(
-                actual_cells=set(actual[a_lo:a_hi].tolist()),
-                candidate_cells=set(cand[c_lo:c_hi].tolist()),
-                outcomes=OutcomeViews(signatures[f], group_counts),
-                partitions=partitions_list,
-                candidate_history=history[f],
-                position_mask=masks[f],
-            )
-            for f, (a_lo, a_hi, c_lo, c_hi) in enumerate(zip(
-                actual_offsets, actual_offsets[1:],
-                cand_offsets, cand_offsets[1:],
-            ))
-        ]
-        regrouped: List[List[DiagnosisResult]] = []
-        start = 0
-        for size in wire["chunk_lens"].tolist():
-            regrouped.append(results[start:start + size])
-            start += size
-        return regrouped
-
-    def nbytes(wire: Dict[str, Any]) -> int:
-        return sum(v.nbytes for v in wire.values())
-
-    return Codec(encode=encode, decode=decode, nbytes=nbytes)

@@ -221,17 +221,13 @@ def evaluate_scheme(
     with_pruning: bool = False,
     compactor: Optional[LinearCompactor] = None,
     num_interval_partitions: int = 1,
-    workers: Optional[int] = None,
 ) -> SchemeEvaluation:
     """Diagnose every sampled fault of the workload under one scheme.
 
     The whole population goes through the fused diagnosis kernel
     (:func:`repro.core.diagnosis_batch.diagnose_population`; gated by
-    ``REPRO_DIAGNOSIS_BATCH``).  Faults diagnose independently, so
-    ``workers > 1`` fans the population's chunks out over a fork-based
-    process pool (``workers=None`` reads ``REPRO_WORKERS``, default
-    serial).  Results and DR are bit-identical to the per-fault serial
-    loop for any chunk size and worker count.
+    ``REPRO_DIAGNOSIS_BATCH``).  Results and DR are bit-identical to the
+    per-fault loop for any chunk size.
     """
     partitions = scheme_partitions(
         scheme,
@@ -248,8 +244,7 @@ def evaluate_scheme(
     responses = workload.responses
     with span("diagnose", scheme=scheme, workload=workload.name) as sp:
         results = diagnose_population(
-            responses, workload.scan_config, partitions, compactor,
-            workers=workers,
+            responses, workload.scan_config, partitions, compactor
         )
         sp.add("faults", len(responses))
         METRICS.incr("diagnosis.faults", len(responses))

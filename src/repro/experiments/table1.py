@@ -17,7 +17,6 @@ from typing import List
 
 from ..bist.misr import LinearCompactor
 from ..core.diagnosis import diagnose, dr_by_partition_count
-from ..parallel import parallel_map
 from ..telemetry import METRICS, span
 from .config import ExperimentConfig, PAPER_PATTERNS_TABLE1, default_config
 from .reporting import render_table
@@ -71,13 +70,10 @@ def run_table1(config: ExperimentConfig = None) -> Table1Result:
             lfsr_degree=config.lfsr_degree,
         )
         with span("diagnose", scheme=scheme, workload=CIRCUIT) as sp:
-            responses = workload.responses
-            results = parallel_map(
-                lambda i: diagnose(
-                    responses[i], workload.scan_config, partitions, compactor
-                ),
-                len(responses),
-            )
+            results = [
+                diagnose(response, workload.scan_config, partitions, compactor)
+                for response in workload.responses
+            ]
             sp.add("faults", len(results))
             METRICS.incr("diagnosis.faults", len(results))
         with span("dr.score", scheme=scheme, workload=CIRCUIT):

@@ -5,8 +5,7 @@ on **every** invocation; this package keeps that state resident in a
 long-lived process and serves diagnosis queries over HTTP with dynamic
 batching (requests sharing a workload coalesce into one vectorized call),
 admission control (bounded queue, 429 + ``Retry-After``), per-request
-deadlines, graceful degradation (serial fallback when the fork pool dies)
-and drain-on-SIGTERM.  See docs/architecture.md, "Serving".
+deadlines and drain-on-SIGTERM.  See docs/architecture.md, "Serving".
 
 Layering (each module only imports the ones above it):
 

@@ -120,8 +120,8 @@ class ServiceClient:
 
         ``trace_id`` (32 lowercase hex chars; mint one with
         ``repro.telemetry.new_trace_id()``) rides the ``traceparent``
-        header so the server threads it through coalescing, the engine,
-        and fork workers; the reply's ``trace_id`` always names the trace
+        header so the server threads it through coalescing and the
+        engine; the reply's ``trace_id`` always names the trace
         (client-supplied or server-minted) — feed it to
         :meth:`debug_trace` for the assembled span tree.
         """

@@ -6,15 +6,12 @@ it resolves the compiled workload (netlist, golden simulation, sampled
 fault responses), the partition set and the compactor **once** — all three
 through :mod:`repro.experiments.cache`, so they stay hot across batches —
 then diagnoses the whole batch in one fused kernel launch
-(:func:`repro.core.diagnosis_batch.diagnose_population`; chunked and
-forked over the pool only when the batch outgrows the chunk bound).
-Results are bit-identical to calling
-:func:`repro.core.diagnosis.diagnose` per request, serial or forked.
-
-Graceful degradation: if the fork pool dies mid-batch (OOM-killed child,
-``BrokenProcessPool``), the engine logs it, re-runs the batch serially,
-and latches **serial-only mode** for the rest of its life — the service
-degrades in throughput instead of failing requests.
+(:func:`repro.core.diagnosis_batch.diagnose_population`; chunked only
+when the batch outgrows the chunk bound).  Results are bit-identical to
+calling :func:`repro.core.diagnosis.diagnose` per request.  A kernel
+exception fails every member of its batch with ``internal_error``; the
+next batch runs as usual.  Serving scales out through the prefork cluster
+(:mod:`repro.cluster`), one engine per worker process.
 
 Memory bounding: the process-wide cache never ages entries out, so a
 long-lived server would grow with every distinct workload it has ever
@@ -73,26 +70,11 @@ class WorkloadContext:
 class DiagnosisEngine:
     """Resolves workloads and executes coalesced diagnosis batches."""
 
-    def __init__(self, workers: Optional[int] = None,
-                 max_cache_bytes: Optional[int] = None):
-        #: Worker-pool request handed to :func:`parallel_map` per batch
-        #: (``None`` honours ``REPRO_WORKERS``; 0 forces serial).
-        self.workers = workers
+    def __init__(self, max_cache_bytes: Optional[int] = None):
         self.max_cache_bytes = max_cache_bytes
-        self._serial_only = False
         self._lock = threading.Lock()
         #: Workload cache keys in least-recently-used-first order.
         self._lru: "OrderedDict[Hashable, Hashable]" = OrderedDict()
-
-    # -- state ----------------------------------------------------------------
-
-    @property
-    def degraded(self) -> bool:
-        """True once the fork pool has died and the engine latched serial."""
-        return self._serial_only
-
-    def force_serial(self) -> None:
-        self._serial_only = True
 
     # -- resolution -----------------------------------------------------------
 
@@ -180,8 +162,7 @@ class DiagnosisEngine:
         ``traces`` (optional, index-aligned) carries each member's
         ``(trace_id, server_span_id)``; the batch span is then a child of
         the head member's server span, *linked* to every other member's,
-        and the kernel runs under it so kernel and fork-chunk spans nest
-        beneath it.
+        and the kernel runs under it so kernel spans nest beneath it.
         """
         if not requests:
             return []
@@ -280,20 +261,11 @@ class DiagnosisEngine:
 
         The whole batch goes through
         :func:`repro.core.diagnosis_batch.diagnose_population` — a dynamic
-        batch is exactly a fault population sharing one workload, so the
-        per-request ``parallel_map`` fan-out collapses into a single
-        signature scatter (chunked and forked only when the batch outgrows
-        ``REPRO_DIAGNOSIS_BATCH``).
+        batch is exactly a fault population sharing one workload, so it
+        collapses into a single signature scatter (chunked only when the
+        batch outgrows ``REPRO_DIAGNOSIS_BATCH``).  A kernel exception
+        answers every member with ``internal_error``.
         """
-        scan = context.scan_config
-
-        def run(workers: int) -> List[DiagnosisResult]:
-            return diagnose_population(
-                responses, scan, context.partitions, context.compactor,
-                workers=workers,
-            )
-
-        workers = 0 if self._serial_only else self.workers
         with span("service.batch", kind="batch",
                   parent=trace_pairs[0] if trace_pairs else None,
                   key=f"{head.circuit}/{head.scheme}",
@@ -302,16 +274,12 @@ class DiagnosisEngine:
                   batch_size=len(responses), circuit=head.circuit,
                   scheme=head.scheme) as batch:
             try:
-                return run(workers)
-            except Exception as exc:  # noqa: BLE001 - pool death is recoverable
-                log(f"service: worker pool failed ({exc!r}); "
-                    "degrading to serial execution")
-                METRICS.incr("service.degraded")
-                self._serial_only = True
-            try:
-                return run(0)
+                return diagnose_population(
+                    responses, context.scan_config, context.partitions,
+                    context.compactor,
+                )
             except Exception as exc:  # noqa: BLE001 - request-level boundary
-                log(f"service: serial fallback failed: {exc!r}")
+                log(f"service: diagnosis failed: {exc!r}")
                 batch.set_attribute("status", "internal_error")
                 error = ServiceError("internal_error", f"diagnosis failed: {exc}")
                 return [error for _ in responses]

@@ -11,7 +11,7 @@ Request lifecycle (see docs/architecture.md, "Serving")::
 
     accept -> parse -> admission (queue bound) -> BatchQueue
            -> dispatcher coalesces same-workload requests
-           -> DiagnosisEngine.execute_batch (executor thread, parallel_map)
+           -> DiagnosisEngine.execute_batch (executor thread, fused kernel)
            -> per-request futures resolve -> HTTP responses
 
 Endpoints:
@@ -33,7 +33,7 @@ Endpoints:
   slowest, and most recently failing requests per route/workload, each
   with its queue/batch/kernel timing breakdown (``?limit=N``).
 * ``GET /debug/trace/<trace_id>`` — the assembled span tree for one
-  trace (server -> batch -> fork chunk), plus the raw records so a
+  trace (request -> batch -> kernel), plus the raw records so a
   cluster supervisor can pool workers' records and re-assemble.
 * ``GET /debug/profile?seconds=N`` — on-demand sampling-profiler burst;
   returns collapsed stacks as ``text/plain`` (flamegraph.pl input).
@@ -595,7 +595,6 @@ class DiagnosisServer:
             "uptime_s": round(time.monotonic() - self.started_at, 3),
             "queue_depth": self.queue.depth,
             "inflight": self._inflight,
-            "degraded": self.engine.degraded,
         }
 
     def _metrics_payload(self) -> Dict[str, Any]:
@@ -622,7 +621,6 @@ class DiagnosisServer:
             "requests": dict(sorted(self._request_counts.items())),
             "rejected": int(METRICS.counter("service.rejected")),
             "timeouts": int(METRICS.counter("service.timeouts")),
-            "degraded": self.engine.degraded,
             "cache": {
                 "entries": cache_stats.entries,
                 "bytes": cache_stats.bytes,
@@ -780,10 +778,7 @@ class ThreadedServer:
 
 
 async def _serve(args: argparse.Namespace) -> int:
-    engine = DiagnosisEngine(
-        workers=args.pool_workers,
-        max_cache_bytes=args.max_cache_bytes,
-    )
+    engine = DiagnosisEngine(max_cache_bytes=args.max_cache_bytes)
     server = DiagnosisServer(
         host=args.host,
         port=args.port,
@@ -843,8 +838,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
                         help="server processes to run; >1 starts the prefork "
                         "cluster supervisor (default REPRO_CLUSTER_WORKERS "
                         "or 1)")
-    parser.add_argument("--pool-workers", type=int, default=None,
-                        help="fork-pool size per batch (default REPRO_WORKERS)")
     parser.add_argument("--max-cache-bytes", type=int, default=None,
                         help="LRU budget for resident compiled workloads")
     parser.add_argument("--drain-grace-s", type=float, default=10.0,
@@ -896,10 +889,7 @@ def _serve_cluster(args: argparse.Namespace) -> int:
             dispatchers=args.dispatchers,
             drain_grace_s=args.drain_grace_s,
         ),
-        engine_kwargs=dict(
-            workers=args.pool_workers,
-            max_cache_bytes=args.max_cache_bytes,
-        ),
+        engine_kwargs=dict(max_cache_bytes=args.max_cache_bytes),
         prewarm=tuple(args.prewarm or ()),
         disk_warm=not args.no_disk_warm,
     )

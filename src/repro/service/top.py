@@ -145,8 +145,7 @@ def render(sample: Dict[str, Any], prev: Optional[Dict[str, Any]],
     if isinstance(queue, dict):
         lines.append(f"queue    depth={queue.get('depth', '-')}"
                      f"/{queue.get('max_depth', '-')} "
-                     f"inflight={queue.get('inflight', '-')}"
-                     + ("   DEGRADED" if metrics.get("degraded") else ""))
+                     f"inflight={queue.get('inflight', '-')}")
 
     latency = metrics.get("fleet_latency") or metrics.get("latency") or {}
     if latency:

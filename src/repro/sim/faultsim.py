@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..parallel import parallel_map
 from ..telemetry import METRICS, span
 from .bitops import any_bit, num_words, pattern_mask, popcount
 from .faults import Fault
@@ -180,40 +179,26 @@ class FaultSimulator:
     def simulate_faults(
         self,
         faults: Sequence[Fault],
-        workers: Optional[int] = None,
         batch: Optional[int] = None,
     ) -> List[FaultResponse]:
         """Error matrices for a fault population, in input order.
 
-        Faults are independent, so ``workers > 1`` fans the population out
-        over a fork-based process pool (``workers=None`` reads
-        ``REPRO_WORKERS``, default serial; small populations and platforms
-        without fork always run serially).  By default the population runs
-        through the fault-batched cone kernel
-        (:mod:`repro.sim.faultsim_batch`; ``batch=None`` reads
+        By default the population runs through the fault-batched cone
+        kernel (:mod:`repro.sim.faultsim_batch`; ``batch=None`` reads
         ``REPRO_FAULT_BATCH``, 0 falls back to the per-fault event-driven
         loop), which itself evaluates cones with the level-group SoA
         schedule unless ``REPRO_SOA=0``.  Results are bit-identical to
-        the serial event-driven loop whichever kernels are selected.
+        the event-driven loop whichever kernels are selected.
         """
         from .faultsim_batch import resolve_batch_size, simulate_faults_batched
-        from .transport import RESPONSE_CODEC
 
         faults = list(faults)
         batch_size = resolve_batch_size(batch)
         with span("fault.sim", faults=len(faults)) as sp:
             if batch_size and len(faults) > 1:
-                responses = simulate_faults_batched(
-                    self, faults, batch_size, workers
-                )
+                responses = simulate_faults_batched(self, faults, batch_size)
             else:
-                responses = parallel_map(
-                    lambda i: self.simulate_fault(faults[i]),
-                    len(faults),
-                    workers,
-                    codec=RESPONSE_CODEC,
-                )
-            sp.add("faults", len(faults))
+                responses = [self.simulate_fault(fault) for fault in faults]
             sp.add("detected", sum(1 for r in responses if r.detected))
         return responses
 

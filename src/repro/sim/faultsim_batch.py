@@ -47,12 +47,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..parallel import parallel_map
 from ..telemetry import METRICS, warn_env_once
 from .faults import Fault
 from .logicsim import _OP_AND, _OP_OR, _OP_XOR, _combine
 from .soa import _REDUCERS, soa_enabled
-from .transport import RESPONSE_CODEC
 
 #: Default faults per batch; chosen so a (batch, words) block stays small
 #: enough to live in L1/L2 while amortizing the per-gate Python overhead.
@@ -352,39 +350,22 @@ def simulate_faults_batched(
     simulator,
     faults: Sequence[Fault],
     batch_size: int,
-    workers: Optional[int] = None,
     soa: Optional[bool] = None,
 ) -> List["FaultResponse"]:
     """Fault-batched population simulation, results in input order.
 
-    Batches are planned deterministically, so serial and forked runs see
-    identical batches and produce bit-identical responses; the fork pool
-    ships results back through the packed :data:`RESPONSE_CODEC` instead
-    of pickled per-cell dicts.
+    Batches are planned deterministically, so the responses are
+    bit-identical to the per-fault event-driven loop.
     """
     faults = list(faults)
     batches = plan_batches(simulator, faults, batch_size)
     METRICS.incr("faultsim.batched_faults", len(faults))
-
     use_soa = soa_enabled(soa)
-    if use_soa:
-        # Build (or load) the schedule once in the parent so forked
-        # workers inherit it instead of racing to rebuild it per fork.
-        simulator.compiled.soa_schedule()
-
-    def run_batch(k: int) -> List["FaultResponse"]:
-        return simulate_batch(
-            simulator, [faults[i] for i in batches[k]], soa=use_soa
-        )
-
-    # Each batch is a heavy work item (a whole cone re-evaluation for up
-    # to ``batch_size`` faults), so forking pays off at far fewer items
-    # than the pool's per-fault default.
-    chunk_responses = parallel_map(
-        run_batch, len(batches), workers, min_items=2, codec=RESPONSE_CODEC
-    )
     out: List[Optional["FaultResponse"]] = [None] * len(faults)
-    for indices, responses in zip(batches, chunk_responses):
+    for indices in batches:
+        responses = simulate_batch(
+            simulator, [faults[i] for i in indices], soa=use_soa
+        )
         for i, response in zip(indices, responses):
             out[i] = response
     return out  # type: ignore[return-value]

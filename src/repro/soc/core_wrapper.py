@@ -102,12 +102,12 @@ class EmbeddedCore:
         responses: List[FaultResponse] = []
         pos = 0
         while pos < len(order) and len(responses) < count:
-            # Simulate a slab at a time so the fault-batched kernel (and
-            # the worker pool) serve the sampling loop; selection still
-            # follows shuffle order exactly, so the chosen responses are
-            # bit-identical to the one-at-a-time loop.  A slab may
-            # simulate a few faults past ``count`` — undetected faults
-            # make that unavoidable anyway.
+            # Simulate a slab at a time so the fault-batched kernel
+            # serves the sampling loop; selection still follows shuffle
+            # order exactly, so the chosen responses are bit-identical to
+            # the one-at-a-time loop.  A slab may simulate a few faults
+            # past ``count`` — undetected faults make that unavoidable
+            # anyway.
             need = count - len(responses)
             slab = [universe[i] for i in order[pos:pos + max(need, _SAMPLE_SLAB_MIN)]]
             pos += len(slab)

@@ -12,7 +12,7 @@ Cooperating pieces (see docs/architecture.md, "Observability"):
   tree assembler.
 * :mod:`repro.telemetry.metrics` — the process-wide
   :class:`MetricsRegistry` that cache, fault simulator, session kernels
-  and the worker pool report into; forked workers ship deltas back.
+  and the server report into.
 * :mod:`repro.telemetry.export` — stderr span tree, JSONL trace log, and
   the per-run ``manifest.json`` (git SHA, config hash, seed, env knobs,
   metric totals, span rollup).

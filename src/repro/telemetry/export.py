@@ -41,7 +41,6 @@ _RECORD_FIELDS = frozenset((
 ENV_KNOBS = (
     "REPRO_CACHE",
     "REPRO_DISK_CACHE",
-    "REPRO_WORKERS",
     "REPRO_TRACE",
     "REPRO_PROFILE",
     "REPRO_PROFILE_HZ",
@@ -52,7 +51,6 @@ ENV_KNOBS = (
     "REPRO_SOA",
     "REPRO_FAULT_BATCH",
     "REPRO_DIAGNOSIS_BATCH",
-    "REPRO_SHM",
     "REPRO_SERVE_PORT",
     "REPRO_BATCH_MAX",
     "REPRO_BATCH_WAIT_MS",

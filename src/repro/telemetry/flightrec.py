@@ -23,12 +23,11 @@ is one *record*: a plain JSON-ready dict built by :func:`make_record`
   (from one process or a whole fleet) into a single tree.  A record
   included via a *link* (e.g. a coalesced batch span that served many
   traces) is grafted under the linked member span, so every member
-  trace reads as one tree: server → batch → fork chunk.
+  trace reads as one tree: request → batch → kernel.
 
-Span records are shipped across processes as-is: fork workers return
-them in the chunk payload (:mod:`repro.parallel`), cluster workers over
-the control channel (``debug``/``debug_reply`` frames), and the
-supervisor merges the raw records before assembling.
+Span records are shipped across processes as-is: cluster workers send
+them over the control channel (``debug``/``debug_reply`` frames), and
+the supervisor merges the raw records before assembling.
 """
 
 from __future__ import annotations
@@ -188,7 +187,7 @@ def make_record(
     """One completed-span record (a plain JSON-ready dict).
 
     ``kind`` classifies the tier (``span`` for a pipeline stage, or
-    ``request`` / ``batch`` / ``chunk``); ``key`` is the route or
+    ``request`` / ``batch``); ``key`` is the route or
     workload the reservoirs bucket by; ``links`` lists ``{"trace_id",
     "span_id"}`` pairs for every *other* trace this span served
     (coalesced batches).  Extra keyword fields (a span's attributes,
@@ -396,7 +395,7 @@ def _trace_members(
     its ``parent_id``) or a ``links`` entry names the target (tree
     parent: the linked span).  Descendants of matched records come along
     through one walk of the children index, even when they carry another
-    trace id: fork chunks under a coalesced batch span inherit the
+    trace id: kernel spans under a coalesced batch span inherit the
     *head* request's trace but belong in every member's tree.
     """
     members: Dict[str, Tuple[Dict[str, Any], Optional[str]]] = {}
@@ -452,7 +451,8 @@ def assemble_tree(
 FLIGHT = FlightRecorder()
 
 if hasattr(os, "register_at_fork"):
-    # Fork children record spans (pool chunks).  A lock that another
-    # parent thread held at fork time is never released in the child.
+    # Prefork cluster workers are forked children that record spans.  A
+    # lock that another parent thread held at fork time is never released
+    # in the child.
     os.register_at_fork(
         after_in_child=lambda: setattr(FLIGHT, "_lock", threading.Lock()))

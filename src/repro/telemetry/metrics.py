@@ -2,7 +2,7 @@
 
 Pipeline components report into the shared :data:`METRICS` registry —
 cache hits and misses per memo store, faults simulated, error events
-extracted, sessions compacted, worker-pool chunk sizes — and exporters
+extracted, sessions compacted, batch sizes served — and exporters
 snapshot it into the run manifest.  Metric names are dotted
 (``cache.hits``); low-cardinality dimensions ride in ``labels`` and are
 canonicalized into the key (``cache.hits{kind=workload}``), so snapshots
@@ -14,10 +14,9 @@ so the cost is one dict update under a lock, invisible next to the numpy
 work between increments.  Histograms keep sparse log buckets with no floor
 or ceiling, so seconds, batch sizes and event counts share one layout,
 merge losslessly across processes and give quantiles within one bucket
-(:func:`summary` is the p50/p95/p99 view).  :meth:`MetricsRegistry.diff` /
-:meth:`MetricsRegistry.merge` implement the fork-merge protocol: a worker
-snapshots before and after its chunk and ships the delta back to the
-parent (see :mod:`repro.parallel`).
+(:func:`summary` is the p50/p95/p99 view).  :meth:`MetricsRegistry.diff`
+is a section's activity since an earlier snapshot, and
+:meth:`MetricsRegistry.merge` folds such a delta into a registry.
 """
 
 from __future__ import annotations

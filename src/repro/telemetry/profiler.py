@@ -18,10 +18,6 @@ collapsed-stack form::
   ``repro stats`` can print per-span self/cumulative hot-function tables.
 * The file (``profile.folded``) is directly consumable by ``flamegraph.pl``
   and speedscope.
-* Forked workers resume sampling after the fork (interval timers and
-  sampler threads do not survive ``fork()``) and ship their sample deltas
-  back through the pool's fork-merge payload (:mod:`repro.parallel`),
-  exactly like metric deltas and worker spans.
 
 Two sampling backends, picked automatically:
 
@@ -135,9 +131,8 @@ def _fold_stack(frame: Optional[FrameType], span: Optional[str]) -> str:
 class ProfileData:
     """Folded-stack sample counts with snapshot/diff/merge algebra.
 
-    The same protocol shape as :class:`repro.telemetry.metrics.MetricsRegistry`
-    so forked workers can ship sample deltas through the pool payload:
-    snapshot before the chunk, diff after, merge in the parent.
+    The same protocol shape as :class:`repro.telemetry.metrics.MetricsRegistry`:
+    snapshot before a section, diff after, merge elsewhere.
     """
 
     __slots__ = ("samples", "dropped")
@@ -291,23 +286,6 @@ class SamplingProfiler:
             self._stop_event = None
         self.mode = None
 
-    def resume_after_fork(self) -> bool:
-        """Restart sampling inside a forked worker when the parent was
-        profiling at fork time (``setitimer`` timers and sampler threads
-        die with the fork); True when this process is now sampling."""
-        if self.mode is None:
-            return False
-        if self._owner_pid == os.getpid():
-            return True
-        self.mode = None
-        self._prev_handler = None
-        self._thread = None
-        self._stop_event = None
-        try:
-            return self.start() is not None
-        except (ValueError, OSError):  # pragma: no cover - exotic platforms
-            return False
-
     @staticmethod
     def _sigprof_available() -> bool:
         return (
@@ -360,7 +338,7 @@ class SamplingProfiler:
         return record
 
 
-#: Process-wide profiler used by the CLI, the worker pool and exporters.
+#: Process-wide profiler used by the CLI, the server and exporters.
 PROFILER = SamplingProfiler()
 
 

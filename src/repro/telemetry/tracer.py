@@ -148,7 +148,7 @@ def span(name: str, kind: str = "span",
 
     ``parent`` (optional) is an explicit ``(trace_id, parent_span_id)``
     — a client's traceparent, or a context carried across a queue or a
-    fork — used instead of the active context.  Attributes named ``key``,
+    process — used instead of the active context.  Attributes named ``key``,
     ``status`` and ``links`` fill the record fields of those names.
     """
     if kind == "span" and not _ENABLED:

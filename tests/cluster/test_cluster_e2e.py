@@ -53,7 +53,7 @@ def start_cluster(**overrides):
         host="127.0.0.1", port=0, workers=2,
         heartbeat_s=0.2, backoff_base_s=0.1, min_uptime_s=0.5,
         server_kwargs=dict(batch_wait_ms=1.0),
-        engine_kwargs=dict(workers=0),
+        engine_kwargs={},
         disk_warm=False,
     )
     kwargs.update(overrides)
@@ -87,7 +87,7 @@ def diagnose_with_retry(client, payload, attempts=5):
 
 
 def direct_results():
-    engine = DiagnosisEngine(workers=0)
+    engine = DiagnosisEngine()
     requests = [DiagnoseRequest.from_payload(dict(SMALL, fault_index=i))
                 for i in range(SMALL["fault_count"])]
     return [tuple(reply.candidate_cells)

@@ -130,7 +130,6 @@ class TestFusedEquivalence:
         ]
         fused = diagnose_population(
             workload.responses, workload.scan_config, partitions, compactor,
-            workers=0,
         )
         assert_results_identical(oracle, fused)
         assert diagnostic_resolution(oracle) == diagnostic_resolution(fused)
@@ -149,7 +148,7 @@ class TestFusedEquivalence:
         ]
         fused = diagnose_population(
             responses, config, partitions, compactor,
-            channel_resolution=False, workers=0,
+            channel_resolution=False,
         )
         assert_results_identical(oracle, fused)
 
@@ -158,27 +157,14 @@ class TestFusedEquivalence:
         compactor = make_compactor("misr", config, workload.scan_config.num_chains)
         whole = diagnose_population(
             workload.responses, workload.scan_config, partitions, compactor,
-            chunk=1000, workers=0,
+            chunk=1000,
         )
         for chunk in (1, 3, 7):
             chunked = diagnose_population(
                 workload.responses, workload.scan_config, partitions, compactor,
-                chunk=chunk, workers=0,
+                chunk=chunk,
             )
             assert_results_identical(whole, chunked)
-
-    def test_forked_matches_serial(self):
-        workload, partitions, config = circuit_population("s953")
-        compactor = make_compactor("misr", config, workload.scan_config.num_chains)
-        serial = diagnose_population(
-            workload.responses, workload.scan_config, partitions, compactor,
-            chunk=3, workers=0,
-        )
-        forked = diagnose_population(
-            workload.responses, workload.scan_config, partitions, compactor,
-            chunk=3, workers=2,
-        )
-        assert_results_identical(serial, forked)
 
     def test_empty_population(self):
         workload, partitions, _ = circuit_population("s27")
@@ -196,7 +182,7 @@ class TestFusedEquivalence:
             for r in population
         ]
         fused = diagnose_population(
-            population, workload.scan_config, partitions, compactor, workers=0
+            population, workload.scan_config, partitions, compactor
         )
         assert_results_identical(oracle, fused)
         assert not fused[0].detected
@@ -215,7 +201,6 @@ class TestFusedEquivalence:
 
         fused = diagnose_population(
             workload.responses, workload.scan_config, partitions, ScalarOnly(),
-            workers=0,
         )
         oracle = [
             diagnose(r, workload.scan_config, partitions, inner)
@@ -232,7 +217,7 @@ class TestFusedEquivalence:
             random_response(rng, 20, 16),
             random_response(rng, 20, 32),
         ]
-        fused = diagnose_population(responses, config, partitions, None, workers=0)
+        fused = diagnose_population(responses, config, partitions, None)
         oracle = [diagnose(r, config, partitions, None) for r in responses]
         assert_results_identical(oracle, fused)
 
@@ -240,11 +225,11 @@ class TestFusedEquivalence:
         workload, partitions, _ = circuit_population("s27")
         monkeypatch.setenv("REPRO_DIAGNOSIS_BATCH", "0")
         via_env = diagnose_population(
-            workload.responses, workload.scan_config, partitions, None, workers=0
+            workload.responses, workload.scan_config, partitions, None
         )
         monkeypatch.delenv("REPRO_DIAGNOSIS_BATCH")
         fused = diagnose_population(
-            workload.responses, workload.scan_config, partitions, None, workers=0
+            workload.responses, workload.scan_config, partitions, None
         )
         assert_results_identical(via_env, fused)
 
@@ -282,27 +267,12 @@ class TestRaggedChains:
         for chunk in (None, 4):
             fused = diagnose_population(
                 responses, RAGGED, partitions, compactor,
-                channel_resolution=channel_resolution, chunk=chunk, workers=0,
+                channel_resolution=channel_resolution, chunk=chunk,
             )
             assert_results_identical(oracle, fused)
         # Absent positions (past a short chain's end) are never candidates.
         absent = ~RAGGED.presence_mask()
         assert not any(r.position_mask[absent].any() for r in fused)
-
-    @pytest.mark.parametrize("channel_resolution", [True, False])
-    def test_forked_matches_serial(self, rng, channel_resolution):
-        responses, partitions = self.population(rng)
-        compactor = make_compactor("misr", ExperimentConfig(), RAGGED.num_chains)
-        serial, forked = (
-            diagnose_population(
-                responses, RAGGED, partitions, compactor,
-                channel_resolution=channel_resolution, chunk=3,
-                workers=workers,
-            )
-            for workers in (0, 2)
-        )
-        assert_results_identical(serial, forked)
-        assert all(isinstance(r.outcomes, OutcomeViews) for r in forked)
 
     @pytest.mark.parametrize("channel_resolution", [True, False])
     def test_superposition_matches_per_fault(self, rng, channel_resolution):
@@ -315,7 +285,7 @@ class TestRaggedChains:
         ], RAGGED)
         fused = apply_superposition(diagnose_population(
             responses, RAGGED, partitions, compactor,
-            channel_resolution=channel_resolution, workers=0,
+            channel_resolution=channel_resolution,
         ), RAGGED)
         assert_results_identical(oracle, fused)
 
@@ -328,7 +298,7 @@ class TestOutcomeViews:
         ).partitions(4)
         compactor = make_compactor("misr", ExperimentConfig(), RAGGED.num_chains)
         fused = diagnose_population(
-            responses, RAGGED, partitions, compactor, workers=0
+            responses, RAGGED, partitions, compactor
         )[0]
         oracle = diagnose(responses[0], RAGGED, partitions, compactor)
         return fused, oracle

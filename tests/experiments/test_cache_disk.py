@@ -286,12 +286,12 @@ class TestEngineWarm:
 
         cache_disk.store("workload", ("s27", 1.0, 64, 0, 15), sample_value())
         cache.clear()
-        engine = DiagnosisEngine(workers=0)
+        engine = DiagnosisEngine()
         assert engine.warm_from_disk() == 1
 
     def test_engine_warm_degrades_on_empty_dir(self, disk_root):
         from repro.service.engine import DiagnosisEngine
 
         disk_root.mkdir(parents=True, exist_ok=True)
-        engine = DiagnosisEngine(workers=0)
+        engine = DiagnosisEngine()
         assert engine.warm_from_disk() == 0

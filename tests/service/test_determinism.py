@@ -1,9 +1,8 @@
 """Request-level determinism: the service returns bit-identical candidate
-sets to the direct ``core.diagnosis`` path, serial and forked.
+sets to the direct ``core.diagnosis`` path.
 
 This is the serving layer's contract with the reproduction: batching,
-queueing, executor threads and the fork pool must be invisible in the
-numbers.
+queueing and executor threads must be invisible in the numbers.
 """
 
 import threading
@@ -36,22 +35,12 @@ class TestServiceMatchesDirectPath:
     def test_serial_server_bit_identical(self, live_server):
         _, expected = direct_results()
         _, port = live_server(batch_wait_ms=50, batch_max=16,
-                              engine=DiagnosisEngine(workers=0))
+                              engine=DiagnosisEngine())
         ServiceClient(port=port).wait_ready()
         got = service_candidates(port, range(SMALL["fault_count"]))
         for i, direct in enumerate(expected):
             assert got[i] == tuple(sorted(direct.candidate_cells)), \
                 f"fault {i} differs on the serial server"
-
-    def test_forked_server_bit_identical(self, live_server, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        _, expected = direct_results()
-        _, port = live_server(batch_wait_ms=100, batch_max=16)
-        ServiceClient(port=port).wait_ready()
-        got = service_candidates(port, range(SMALL["fault_count"]))
-        for i, direct in enumerate(expected):
-            assert got[i] == tuple(sorted(direct.candidate_cells)), \
-                f"fault {i} differs with REPRO_WORKERS=2"
 
     def test_repeated_requests_are_stable(self, live_server):
         _, port = live_server(batch_wait_ms=1)

@@ -1,6 +1,4 @@
-"""DiagnosisEngine: both request modes, error slots, degradation, LRU."""
-
-import pytest
+"""DiagnosisEngine: both request modes, error slots, kernel failure, LRU."""
 
 from repro.experiments import cache
 from repro.experiments.config import ExperimentConfig
@@ -38,7 +36,7 @@ def direct_results():
 class TestFaultIndexMode:
     def test_matches_direct_diagnosis(self):
         _, expected = direct_results()
-        engine = DiagnosisEngine(workers=0)
+        engine = DiagnosisEngine()
         requests = [small_request(i) for i in range(SMALL["fault_count"])]
         replies = engine.execute_batch(requests)
         for reply, direct in zip(replies, expected):
@@ -47,7 +45,7 @@ class TestFaultIndexMode:
             assert reply.sound == direct.sound
 
     def test_out_of_range_index_fails_only_that_slot(self):
-        engine = DiagnosisEngine(workers=0)
+        engine = DiagnosisEngine()
         replies = engine.execute_batch(
             [small_request(0), small_request(99)])
         assert replies[0].candidate_cells  # healthy slot served
@@ -66,14 +64,14 @@ class TestCellErrorsMode:
         }
         request = DiagnoseRequest.from_payload(dict(
             SMALL, cell_errors=cell_errors))
-        engine = DiagnosisEngine(workers=0)
+        engine = DiagnosisEngine()
         reply = engine.execute_batch([request])[0]
         assert reply.candidate_cells == sorted(expected[0].candidate_cells)
 
     def test_cell_out_of_range_is_invalid_argument(self):
         request = DiagnoseRequest.from_payload(dict(
             SMALL, cell_errors={"100000": [0]}))
-        engine = DiagnosisEngine(workers=0)
+        engine = DiagnosisEngine()
         reply = engine.execute_batch([request])[0]
         assert isinstance(reply, ServiceError)
         assert reply.code == "invalid_argument"
@@ -81,7 +79,7 @@ class TestCellErrorsMode:
 
 class TestWorkloadErrors:
     def test_unknown_circuit_fails_every_slot(self):
-        engine = DiagnosisEngine(workers=0)
+        engine = DiagnosisEngine()
         requests = [
             DiagnoseRequest.from_payload({"circuit": "nope", "fault_index": i})
             for i in range(3)
@@ -94,40 +92,41 @@ class TestWorkloadErrors:
         assert DiagnosisEngine().execute_batch([]) == []
 
 
-class TestGracefulDegradation:
-    def test_pool_death_falls_back_to_serial_and_latches(self, monkeypatch):
-        from repro.core.diagnosis_batch import diagnose_population
+class TestKernelFailure:
+    def test_kernel_exception_fails_the_batch_only(self, monkeypatch):
+        from repro.telemetry import FLIGHT
 
         _, expected = direct_results()
-        engine = DiagnosisEngine(workers=2)
-        calls = {"n": 0}
+        engine = DiagnosisEngine()
 
-        def dying_diagnose_population(responses, scan, partitions, compactor,
-                                      workers=None, **kwargs):
-            calls["n"] += 1
-            if workers != 0:
-                raise RuntimeError("pool died")
-            return diagnose_population(
-                responses, scan, partitions, compactor, workers=0, **kwargs
-            )
+        def failing_kernel(*args, **kwargs):
+            raise RuntimeError("kernel failed")
 
-        monkeypatch.setattr(
-            engine_module, "diagnose_population", dying_diagnose_population
-        )
-        requests = [small_request(i) for i in range(SMALL["fault_count"])]
-        replies = engine.execute_batch(requests)
-        assert engine.degraded
-        for reply, direct in zip(replies, expected):
-            assert reply.candidate_cells == sorted(direct.candidate_cells)
-        # Next batch goes straight to the serial path (workers=0).
-        engine.execute_batch([small_request(0)])
-        assert calls["n"] >= 2
+        saved = FLIGHT.capacity
+        FLIGHT.resize(64)
+        try:
+            mark = FLIGHT.recorded
+            monkeypatch.setattr(
+                engine_module, "diagnose_population", failing_kernel)
+            replies = engine.execute_batch(
+                [small_request(i) for i in range(3)])
+            batches = [r for r in FLIGHT.since(mark)
+                       if r["name"] == "service.batch"]
+        finally:
+            FLIGHT.resize(saved)
+        assert all(isinstance(r, ServiceError) for r in replies)
+        assert [r.code for r in replies] == ["internal_error"] * 3
+        assert [b["status"] for b in batches] == ["internal_error"]
+        # Nothing latches: the next batch runs the kernel as usual.
+        monkeypatch.undo()
+        reply = engine.execute_batch([small_request(0)])[0]
+        assert reply.candidate_cells == sorted(expected[0].candidate_cells)
 
 
 class TestMemoryBounding:
     def test_lru_eviction_respects_budget(self):
         cache.clear()
-        engine = DiagnosisEngine(workers=0, max_cache_bytes=1)
+        engine = DiagnosisEngine(max_cache_bytes=1)
         engine.execute_batch([small_request(0)])
         first_key = next(iter(engine._lru))
         # A second, different workload must push the first one out.

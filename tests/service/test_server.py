@@ -23,7 +23,7 @@ class SlowEngine(DiagnosisEngine):
     """Holds every batch for a fixed time — lets tests fill the queue."""
 
     def __init__(self, delay_s: float):
-        super().__init__(workers=0)
+        super().__init__()
         self.delay_s = delay_s
 
     def execute_batch(self, requests, traces=None):

@@ -1,10 +1,9 @@
 """Request tracing + debug plane, end to end over HTTP.
 
-The acceptance test for the observability PR: a client-submitted trace
-id must come back from ``GET /debug/trace/<id>`` as a single assembled
-span tree containing spans from at least three tiers — server request,
-engine batch, and fork chunk — with the chunk spans recorded in fork
-*child* processes (>=2 pids in the tree).
+A client-submitted trace id must come back from
+``GET /debug/trace/<id>`` as a single assembled span tree containing
+spans from at least three tiers — server request, engine batch, and the
+diagnosis kernel that ran under the batch.
 """
 
 import gc
@@ -66,48 +65,50 @@ class TestTraceContext:
 
 
 class TestThreeTierTraceTree:
-    def test_trace_tree_spans_server_batch_and_fork_chunk(
-            self, live_server, monkeypatch):
-        """The acceptance criterion: one client trace id -> one tree with
-        server, engine-batch and fork-chunk spans across >=2 processes."""
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.setenv("REPRO_DIAGNOSIS_BATCH", "4")
-        # A long coalescing window so all concurrent requests land in ONE
-        # batch — big enough (>= 8 live members after the diagnosis-chunk
-        # split) that the engine fans out over the fork pool.
-        _, port = live_server(batch_wait_ms=500, batch_max=32)
-        ids = [new_trace_id() for _ in range(12)]
+    def test_trace_tree_spans_request_batch_and_kernel(self, live_server):
+        """One client trace id -> one tree: request -> batch -> kernel,
+        for the coalesced batch's head and for a linked member alike."""
+        was_enabled = trace_enabled()
+        enable_tracing()
+        try:
+            # A long coalescing window so the concurrent requests land in
+            # one batch.
+            _, port = live_server(batch_wait_ms=500, batch_max=32)
+            ids = [new_trace_id() for _ in range(SMALL["fault_count"])]
 
-        def fire(k):
+            def fire(k):
+                with ServiceClient(port=port) as client:
+                    client.diagnose(small_payload(k), trace_id=ids[k])
+
             with ServiceClient(port=port) as client:
-                client.diagnose(small_payload(k % SMALL["fault_count"]),
-                                trace_id=ids[k])
+                client.wait_ready()
+            threads = [threading.Thread(target=fire, args=(k,))
+                       for k in range(len(ids))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
 
-        with ServiceClient(port=port) as client:
-            client.wait_ready()
-        threads = [threading.Thread(target=fire, args=(k,))
-                   for k in range(len(ids))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        with ServiceClient(port=port) as client:
-            for trace_id in (ids[0], ids[7]):  # head or member — same tree
-                tree = client.debug_trace(trace_id)
-                assert tree["trace_id"] == trace_id
-                kinds = {r["kind"] for r in tree["records"]}
-                assert {"request", "batch", "chunk"} <= kinds, (
-                    f"missing tiers: {kinds}")
-                assert tree["span_count"] >= 3
-                assert len(tree["roots"]) == 1, "must assemble as ONE tree"
-                assert len(tree["pids"]) >= 2, (
-                    "chunk spans must come from fork children")
-                root = tree["roots"][0]
-                assert root["kind"] == "request"
-                batch = next(c for c in root["children"]
-                             if c["kind"] == "batch")
-                assert any(c["kind"] == "chunk" for c in batch["children"])
+            batch = max((r for r in FLIGHT.since()
+                         if r["name"] == "service.batch"),
+                        key=lambda r: len(r.get("links", ())))
+            assert batch.get("links"), "requests did not coalesce"
+            head, member = batch["trace_id"], batch["links"][0]["trace_id"]
+            with ServiceClient(port=port) as client:
+                for trace_id in (head, member):
+                    tree = client.debug_trace(trace_id)
+                    assert tree["trace_id"] == trace_id
+                    assert tree["span_count"] >= 3
+                    assert len(tree["roots"]) == 1, "must assemble as ONE tree"
+                    root = tree["roots"][0]
+                    assert root["name"] == "service.request"
+                    node = next(c for c in root["children"]
+                                if c["name"] == "service.batch")
+                    assert any(c["name"] == "diagnose.batch_kernel"
+                               for c in node["children"]), node
+        finally:
+            if not was_enabled:
+                disable_tracing()
 
 
 def _retained_span_objects():
@@ -121,8 +122,7 @@ def _retained_span_objects():
 
 class TestTracedServer:
     @pytest.fixture
-    def traced_small_ring(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    def traced_small_ring(self):
         was_enabled, capacity = trace_enabled(), FLIGHT.capacity
         enable_tracing()
         FLIGHT.resize(16)

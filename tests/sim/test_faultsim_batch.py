@@ -2,14 +2,13 @@
 
 The batched kernel must produce bit-identical error matrices to
 ``FaultSimulator.simulate_fault`` for randomized fault populations, on
-multiple ISCAS circuits, serially and through the fork pool.
+multiple ISCAS circuits.
 """
 
 import numpy as np
 import pytest
 
 from repro.circuit.library import get_circuit
-from repro.parallel import fork_available
 from repro.sim.faults import collapse_faults
 from repro.sim.faultsim_batch import (
     DEFAULT_BATCH,
@@ -110,7 +109,7 @@ class TestBatchedEquivalence:
         sim, faults = sampled_population(name, patterns, 120, seed=11)
         event = [sim.simulate_fault(f) for f in faults]
         for batch_size in (2, 7, 32):
-            batched = simulate_faults_batched(sim, faults, batch_size, workers=0)
+            batched = simulate_faults_batched(sim, faults, batch_size)
             assert_identical(event, batched)
 
     def test_single_batch_kernel(self):
@@ -126,7 +125,7 @@ class TestBatchedEquivalence:
 
         sim, faults = sampled_population("s953", 100, 60, seed=23)
         mask = pattern_mask(100)
-        for response in simulate_faults_batched(sim, faults, 16, workers=0):
+        for response in simulate_faults_batched(sim, faults, 16):
             for vec in response.cell_errors.values():
                 assert np.array_equal(vec & mask, vec)
 
@@ -136,7 +135,7 @@ class TestBatchedEquivalence:
         monkeypatch.delenv("REPRO_FAULT_BATCH", raising=False)
         sim, faults = sampled_population("s27", 64, 20, seed=9)
         before = METRICS.snapshot()
-        via_dispatch = sim.simulate_faults(faults, workers=0)
+        via_dispatch = sim.simulate_faults(faults)
         delta = METRICS.diff(before)
         assert delta["counters"].get("faultsim.batched_faults") == len(faults)
         event = [sim.simulate_fault(f) for f in faults]
@@ -148,27 +147,7 @@ class TestBatchedEquivalence:
         monkeypatch.setenv("REPRO_FAULT_BATCH", "0")
         sim, faults = sampled_population("s27", 64, 20, seed=9)
         before = METRICS.snapshot()
-        responses = sim.simulate_faults(faults, workers=0)
+        responses = sim.simulate_faults(faults)
         delta = METRICS.diff(before)
         assert "faultsim.batched_faults" not in delta["counters"]
         assert_identical([sim.simulate_fault(f) for f in faults], responses)
-
-
-@pytest.mark.skipif(not fork_available(), reason="fork pool unavailable")
-class TestBatchedForked:
-    @pytest.mark.parametrize("name,patterns", [("s27", 100), ("s953", 128)])
-    def test_forked_bit_identical(self, name, patterns):
-        sim, faults = sampled_population(name, patterns, 120, seed=17)
-        serial = simulate_faults_batched(sim, faults, 16, workers=0)
-        forked = simulate_faults_batched(sim, faults, 16, workers=2)
-        assert_identical(serial, forked)
-
-    def test_env_workers_dispatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.delenv("REPRO_FAULT_BATCH", raising=False)
-        sim, faults = sampled_population("s953", 128, 100, seed=29)
-        forked = sim.simulate_faults(faults)
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        monkeypatch.setenv("REPRO_FAULT_BATCH", "0")
-        event = sim.simulate_faults(faults)
-        assert_identical(event, forked)

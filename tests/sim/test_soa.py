@@ -17,7 +17,6 @@ from repro.circuit.library import get_circuit
 from repro.circuit.netlist import GateType
 from repro.experiments import cache_disk
 from repro.experiments.cache import cache_stats, clear_caches
-from repro.parallel import fork_available
 from repro.sim import soa
 import importlib
 
@@ -253,7 +252,7 @@ class TestBatchedIdentity:
     def test_soa_cone_matches_event_oracle(self, name, patterns, count):
         sim, faults = sampled_population(name, patterns, count, seed=13)
         oracle = [sim.simulate_fault(f) for f in faults]
-        batched = simulate_faults_batched(sim, faults, 16, workers=0, soa=True)
+        batched = simulate_faults_batched(sim, faults, 16, soa=True)
         assert_responses_identical(oracle, batched)
 
     def test_soa_batch_matches_per_gate_batch(self):
@@ -275,13 +274,6 @@ class TestBatchedIdentity:
         on = simulate_batch(sim, faults)
         assert METRICS.diff(before)["counters"].get("faultsim.soa_batches") == 1
         assert_responses_identical(off, on)
-
-    @pytest.mark.skipif(not fork_available(), reason="fork pool unavailable")
-    def test_forked_soa_bit_identical(self):
-        sim, faults = sampled_population("s953", 128, 80, seed=23)
-        serial = simulate_faults_batched(sim, faults, 16, workers=0, soa=True)
-        forked = simulate_faults_batched(sim, faults, 16, workers=2, soa=True)
-        assert_responses_identical(serial, forked)
 
 
 class TestScheduleCache:

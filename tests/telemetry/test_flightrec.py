@@ -3,7 +3,7 @@
 Covers the W3C-style traceparent helpers, the bounded ring and its
 slow/error reservoirs, and cross-trace tree assembly — in particular the
 link-grafting + descendant walk that puts a coalesced batch span
-(and the fork chunks under it) into *every* member trace's tree.
+(and the kernel spans under it) into *every* member trace's tree.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ class TestFlightRecorder:
 
 
 def _batch_records():
-    """head request + member request + linked batch + fork chunk."""
+    """head request + member request + linked batch + kernel span."""
     head, member = new_trace_id(), new_trace_id()
     head_span, member_span = new_span_id(), new_span_id()
     batch_span, chunk_span = new_span_id(), new_span_id()
@@ -207,10 +207,10 @@ def _batch_records():
         make_record("service.batch", head, batch_span, parent_id=head_span,
                     kind="batch",
                     links=[{"trace_id": member, "span_id": member_span}]),
-        # The fork chunk carries the *head* trace (the context active at
-        # fork time) but must appear in the member's tree too.
-        make_record("pool.chunk", head, chunk_span, parent_id=batch_span,
-                    kind="chunk"),
+        # The kernel span carries the *head* trace (the context active
+        # under the batch span) but must appear in the member's tree too.
+        make_record("diagnose.batch_kernel", head, chunk_span,
+                    parent_id=batch_span),
     ]
     return head, member, records
 
@@ -226,7 +226,7 @@ class TestTreeAssembly:
         batch = root["children"][0]
         assert batch["name"] == "service.batch"
         assert "linked" not in batch
-        assert batch["children"][0]["name"] == "pool.chunk"
+        assert batch["children"][0]["name"] == "diagnose.batch_kernel"
 
     def test_member_trace_grafts_batch_and_chunk(self):
         _head, member, records = _batch_records()
@@ -237,7 +237,7 @@ class TestTreeAssembly:
         batch = root["children"][0]
         assert batch["name"] == "service.batch"
         assert batch["linked"] is True
-        assert batch["children"][0]["name"] == "pool.chunk"
+        assert batch["children"][0]["name"] == "diagnose.batch_kernel"
 
     def test_unknown_trace_is_empty(self):
         _head, _member, records = _batch_records()
@@ -246,7 +246,7 @@ class TestTreeAssembly:
 
     def test_pids_collected(self):
         head, _member, records = _batch_records()
-        records[-1]["pid"] = os.getpid() + 1  # simulate a fork child
+        records[-1]["pid"] = os.getpid() + 1  # a record from another process
         tree = assemble_tree(records, head)
         assert tree["pids"] == sorted({os.getpid(), os.getpid() + 1})
 
@@ -256,4 +256,5 @@ class TestTreeAssembly:
         rec.record_many(records)
         for trace_id in (head, member):
             names = sorted(r["name"] for r in rec.records_for_trace(trace_id))
-            assert names == ["pool.chunk", "service.batch", "service.request"]
+            assert names == ["diagnose.batch_kernel", "service.batch",
+                             "service.request"]

@@ -55,9 +55,9 @@ class TestManifestRoundTrip:
         assert loaded["metrics"]["counters"]["diagnosis.faults"] == 4
 
     def test_env_knobs_recorded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
+        monkeypatch.setenv("REPRO_BATCH_MAX", "3")
         manifest = build_manifest()
-        assert manifest["env"]["REPRO_WORKERS"] == "3"
+        assert manifest["env"]["REPRO_BATCH_MAX"] == "3"
         assert "REPRO_CACHE" in manifest["env"]
 
     def test_config_hash_stable_and_sensitive(self):

@@ -5,9 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.parallel import fork_available, parallel_map
 from repro.telemetry import (
-    METRICS,
     Histogram,
     MetricsRegistry,
     metric_key,
@@ -127,25 +125,6 @@ class TestLogBuckets:
             reg.snapshot()["histograms"]["h"]
 
 
-def _observe_task(i: int) -> int:
-    METRICS.observe("forktest.hist", 0.5 * 1.7 ** i)
-    return i
-
-
-@pytest.mark.skipif(not fork_available(),
-                    reason="fork start method unavailable")
-def test_fork_workers_yield_serial_buckets():
-    parallel_map(_observe_task, 24, workers=1)
-    serial = METRICS.snapshot()["histograms"]["forktest.hist"]
-    METRICS.reset()
-    parallel_map(_observe_task, 24, workers=2, min_items=2)
-    assert METRICS.counter_total("pool.tasks") == 24  # really forked
-    forked = METRICS.snapshot()["histograms"]["forktest.hist"]
-    assert forked["count"] == serial["count"] == 24
-    assert forked["buckets"] == serial["buckets"]
-    assert (forked["min"], forked["max"]) == (serial["min"], serial["max"])
-
-
 class TestSnapshotAlgebra:
     def test_diff_reports_only_activity(self):
         reg = MetricsRegistry()
@@ -159,12 +138,11 @@ class TestSnapshotAlgebra:
         assert delta["histograms"]["h"]["count"] == 1
 
     def test_merge_of_diff_reconstructs_totals(self):
-        """Parent + child-delta == child having run in the parent: the
-        fork-merge invariant."""
+        """Parent + child-delta == child having run in the parent."""
         parent = MetricsRegistry()
         parent.incr("faults", 5)
         parent.observe("chunk", 2.0)
-        # Simulate the forked child: it inherits a copy, works, diffs.
+        # The child inherits a copy, works, diffs.
         child = MetricsRegistry()
         child.merge(parent.snapshot())
         inherited = child.snapshot()

@@ -55,6 +55,20 @@ class TestTracedRun:
         pruned = METRICS.snapshot()["counters"][key] - start
         assert pruned == before - after
 
+    def test_fault_sim_record_files_faults_once(self):
+        from repro.circuit.library import get_circuit
+        from repro.sim.faults import collapse_faults
+        from repro.soc.core_wrapper import EmbeddedCore
+
+        core = EmbeddedCore(get_circuit("s27"), num_patterns=64)
+        faults = collapse_faults(core.netlist)[:12]
+        enable_tracing()
+        responses = core.fault_simulator.simulate_faults(faults)
+        [record] = [r for r in FLIGHT.since() if r["name"] == "fault.sim"]
+        assert record["faults"] == len(faults)
+        assert record["counters"] == {
+            "detected": sum(1 for r in responses if r.detected)}
+
     def test_cache_and_session_metrics_recorded(self, small_config):
         cache.clear()
         run_table1(small_config)

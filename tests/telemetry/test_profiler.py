@@ -4,7 +4,6 @@ attribution, and the collapsed-stack export."""
 from __future__ import annotations
 
 import importlib
-import os
 import time
 
 import pytest
@@ -199,35 +198,6 @@ class TestSamplingBackends:
         assert record["mode"] is None
         assert record["samples"] == 0
         assert record["spans"] == []
-
-    def test_resume_after_fork_noop_without_profiling(self):
-        profiler = SamplingProfiler()
-        assert profiler.resume_after_fork() is False
-
-    def test_resume_after_fork_restarts_in_child(self):
-        if not hasattr(os, "fork"):
-            pytest.skip("fork unavailable")
-        profiler = SamplingProfiler(hz=200)
-        profiler.start()
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # child
-            os.close(read_fd)
-            try:
-                resumed = profiler.resume_after_fork()
-                busy(0.2)
-                ok = resumed and profiler.data.total > 0
-                os.write(write_fd, b"1" if ok else b"0")
-            finally:
-                os._exit(0)
-        os.close(write_fd)
-        try:
-            verdict = os.read(read_fd, 1)
-            os.waitpid(pid, 0)
-        finally:
-            os.close(read_fd)
-            profiler.stop()
-        assert verdict == b"1"
 
 
 class TestManifestRecord:

@@ -186,9 +186,9 @@ class TestWireFormat:
         assert clone["duration_ms"] == _by_name()["root"]["duration_ms"]
 
     def test_capture_and_adopt(self):
-        """The fork-merge protocol: the records a span filed are read off
-        the recorder's counter, and filing them in another recorder keeps
-        the parentage given through ``parent``."""
+        """The records a span filed are read off the recorder's counter,
+        and filing them in another recorder keeps the parentage given
+        through ``parent``."""
         enable_tracing()
         parent = (new_trace_id(), new_span_id())
         mark = FLIGHT.recorded

@@ -1,9 +1,9 @@
 """Equivalence properties for the performance layer (PR 1).
 
-The vectorized session kernels, the workload/partition cache and the
-worker pool are *pure optimizations*: every one of them must produce
-bit-identical signatures, candidate sets and DR values to the scalar,
-uncached, serial reference paths.  These tests pin that contract on
+The vectorized session kernels and the workload/partition cache are
+*pure optimizations*: every one of them must produce bit-identical
+signatures, candidate sets and DR values to the scalar, uncached
+reference paths.  These tests pin that contract on
 randomized workloads.
 """
 
@@ -26,10 +26,9 @@ from repro.experiments.runner import (
     evaluate_scheme,
     scheme_partitions,
 )
-from repro.parallel import parallel_map
 from repro.sim.bitops import WORD_BITS, pack_bits
 from repro.sim.faults import Fault
-from repro.sim.faultsim import FaultResponse, FaultSimulator
+from repro.sim.faultsim import FaultResponse
 
 TINY = ExperimentConfig(num_faults=10, num_faults_large=4, scale=0.1)
 
@@ -197,42 +196,6 @@ class TestWorkloadCache:
             assert a.actual_cells == b.actual_cells
 
 
-class TestParallelEvaluation:
-    def setup_method(self):
-        clear_caches()
-
-    def teardown_method(self):
-        clear_caches()
-
-    def test_parallel_map_order(self):
-        assert parallel_map(lambda i: i * i, 20, workers=2, min_items=2) == [
-            i * i for i in range(20)
-        ]
-
-    def test_simulate_faults_parallel_identical(self, small_compiled, small_good):
-        sim = FaultSimulator(small_compiled, small_good)
-        from repro.sim.faults import collapse_faults
-
-        faults = collapse_faults(small_compiled.netlist)[:16]
-        serial = sim.simulate_faults(faults, workers=0)
-        parallel = sim.simulate_faults(faults, workers=2)
-        assert len(serial) == len(parallel)
-        for a, b in zip(serial, parallel):
-            assert a.fault == b.fault
-            assert set(a.cell_errors) == set(b.cell_errors)
-            for cell in a.cell_errors:
-                np.testing.assert_array_equal(a.cell_errors[cell], b.cell_errors[cell])
-
-    def test_evaluate_scheme_parallel_identical(self):
-        workload = build_circuit_workload("s953", TINY)
-        serial = evaluate_scheme(workload, "two-step", 3, 4, TINY, workers=0)
-        parallel = evaluate_scheme(workload, "two-step", 3, 4, TINY, workers=2)
-        assert serial.dr == parallel.dr
-        for a, b in zip(serial.results, parallel.results):
-            assert a.candidate_cells == b.candidate_cells
-            assert a.candidate_history == b.candidate_history
-
-
 class TestFaultBatchedEvaluation:
     """The fault-batched kernel (PR 4) is a pure optimization too: every
     end-to-end number must match the event-driven path exactly."""
@@ -247,30 +210,17 @@ class TestFaultBatchedEvaluation:
         monkeypatch.setenv("REPRO_FAULT_BATCH", "0")
         clear_caches()
         event = evaluate_scheme(
-            build_circuit_workload("s953", TINY), "two-step", 3, 4, TINY, workers=0
+            build_circuit_workload("s953", TINY), "two-step", 3, 4, TINY
         )
         monkeypatch.setenv("REPRO_FAULT_BATCH", "16")
         clear_caches()
         batched = evaluate_scheme(
-            build_circuit_workload("s953", TINY), "two-step", 3, 4, TINY, workers=0
+            build_circuit_workload("s953", TINY), "two-step", 3, 4, TINY
         )
         assert event.dr == batched.dr
         for a, b in zip(event.results, batched.results):
             assert a.candidate_cells == b.candidate_cells
             assert a.candidate_history == b.candidate_history
-
-    def test_batched_serial_vs_forked_identical(self, small_compiled, small_good):
-        from repro.sim.faults import collapse_faults
-
-        sim = FaultSimulator(small_compiled, small_good)
-        faults = collapse_faults(small_compiled.netlist)[:16]
-        serial = sim.simulate_faults(faults, workers=0, batch=4)
-        forked = sim.simulate_faults(faults, workers=2, batch=4)
-        for a, b in zip(serial, forked):
-            assert a.fault == b.fault
-            assert set(a.cell_errors) == set(b.cell_errors)
-            for cell in a.cell_errors:
-                np.testing.assert_array_equal(a.cell_errors[cell], b.cell_errors[cell])
 
 
 class TestSoAEvaluation:
@@ -287,12 +237,12 @@ class TestSoAEvaluation:
         monkeypatch.setenv("REPRO_SOA", "0")
         clear_caches()
         per_gate = evaluate_scheme(
-            build_circuit_workload("s953", TINY), "two-step", 3, 4, TINY, workers=0
+            build_circuit_workload("s953", TINY), "two-step", 3, 4, TINY
         )
         monkeypatch.setenv("REPRO_SOA", "1")
         clear_caches()
         via_soa = evaluate_scheme(
-            build_circuit_workload("s953", TINY), "two-step", 3, 4, TINY, workers=0
+            build_circuit_workload("s953", TINY), "two-step", 3, 4, TINY
         )
         assert per_gate.dr == via_soa.dr
         for a, b in zip(per_gate.results, via_soa.results):
@@ -308,11 +258,11 @@ class TestDiskCacheEquivalence:
         monkeypatch.setenv("REPRO_DISK_CACHE", str(tmp_path / "dc"))
         clear_caches()
         cold = evaluate_scheme(
-            build_circuit_workload("s953", TINY), "two-step", 3, 4, TINY, workers=0
+            build_circuit_workload("s953", TINY), "two-step", 3, 4, TINY
         )
         clear_caches()  # memory gone; next build comes off disk
         warm = evaluate_scheme(
-            build_circuit_workload("s953", TINY), "two-step", 3, 4, TINY, workers=0
+            build_circuit_workload("s953", TINY), "two-step", 3, 4, TINY
         )
         clear_caches()
         assert cold.dr == warm.dr
