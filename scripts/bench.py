@@ -12,23 +12,23 @@ Stages, per benchmark circuit:
   but the persistent disk tier (``REPRO_DISK_CACHE``) populated.
 * ``good_sim_soa_s`` vs ``good_sim_pergate_s`` — one full good-machine
   simulation through the level-group SoA kernel (PR 6) against the
-  per-gate loop; ``soa_speedup`` is the ratio and the two value planes
-  must match bit-for-bit (asserted).
-* ``fault_sim_event_s`` — event-driven fault simulation
-  (``REPRO_FAULT_BATCH=0``), the PR 1-3 kernel.
-* ``fault_sim_batch_s`` — the fault-batched cone kernel (PR 4), which by
-  default evaluates cones through the SoA schedule;
-  ``fault_sim_batch_pergate_s`` times the same batches with
-  ``REPRO_SOA=0`` and ``fault_soa_speedup`` is their ratio.
-  ``fault_batch_speedup`` is the event/batch ratio; ``fault_sim_s``
-  keeps tracking the *default* path so the trajectory key stays
-  comparable across PRs.
+  test-only per-gate reference loop (``tests/sim/pergate_reference.py``);
+  ``soa_speedup`` is the ratio and the two value planes must match
+  bit-for-bit (asserted).
+* ``fault_sim_event_s`` — event-driven fault simulation, a loop over
+  ``FaultSimulator.simulate_fault`` (the PR 1-3 kernel, now the oracle).
+* ``fault_sim_batch_s`` — the fault-batched cone kernel (PR 4), which
+  evaluates cones through the SoA schedule; ``fault_sim_batch_pergate_s``
+  times the same batch plan through the per-gate reference cone replay
+  and ``fault_soa_speedup`` is their ratio.  ``fault_batch_speedup`` is
+  the event/batch ratio; ``fault_sim_s`` keeps tracking the production
+  path so the trajectory key stays comparable across PRs.
 * ``serve_coldstart_cold_s`` / ``serve_coldstart_disk_warm_s`` — time for
   a fresh :class:`DiagnosisEngine` to resolve its first request, cold vs
   warm-from-disk.
 * ``diagnose_batch_s`` vs ``diagnose_perfault_s`` — the population-fused
   diagnosis kernel (PR 9, one signature scatter for the whole fault
-  population) against the per-fault oracle loop, both serial on a
+  population) against the per-fault ``diagnose`` oracle loop, both serial on a
   population pinned to ``DIAG_POPULATION`` faults in both bench modes;
   ``diagnose_speedup`` is the ratio and the two result sets must be
   bit-identical (asserted).
@@ -100,7 +100,11 @@ import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+# The per-gate reference kernels live with the tests that use them as
+# oracles; the speedup ratios time the same code.
+sys.path.insert(1, str(ROOT))
 
 import numpy as np
 
@@ -108,6 +112,7 @@ from repro import telemetry
 from repro.bist.misr import LinearCompactor
 from repro.bist.patterns import fast_pattern_matrices
 from repro.bist.session import run_partition_sessions_scalar
+from repro.core.diagnosis import diagnose
 from repro.core.diagnosis_batch import diagnose_population
 from repro.experiments.cache import clear_caches
 from repro.experiments.config import ExperimentConfig
@@ -121,6 +126,10 @@ from repro.sim.faults import collapse_faults
 from repro.sim.faultsim import FaultSimulator
 from repro.soc.core_wrapper import EmbeddedCore, _name_seed
 from repro.telemetry import SamplingProfiler, log
+from tests.sim.pergate_reference import (
+    simulate_faults_pergate,
+    simulate_pergate,
+)
 
 NUM_GROUPS = 4
 PR_NUMBER = 10
@@ -221,7 +230,8 @@ def bench_circuit(name, config, num_partitions, repeats=3, fault_cap=400):
     sim = FaultSimulator(core.compiled, core.good)
 
     # Good-machine simulation: the level-group SoA kernel vs the per-gate
-    # loop, same pattern matrices the core simulated at construction.
+    # reference loop, same pattern matrices the core simulated at
+    # construction.
     # The schedule builds (or loads) before the timed region — it is a
     # once-per-circuit cost the cache tiers absorb in real runs.
     compiled = core.compiled
@@ -232,11 +242,11 @@ def bench_circuit(name, config, num_partitions, repeats=3, fault_cap=400):
     compiled.soa_schedule()
     soa_s, soa_result = best_of(
         max(repeats, 3),
-        lambda: compiled.simulate(pi, ff, config.num_patterns, soa=True),
+        lambda: compiled.simulate(pi, ff, config.num_patterns),
     )
     pergate_s, pergate_result = best_of(
         max(repeats, 3),
-        lambda: compiled.simulate(pi, ff, config.num_patterns, soa=False),
+        lambda: simulate_pergate(compiled, pi, ff, config.num_patterns),
     )
     assert np.array_equal(soa_result.values, pergate_result.values), (
         f"SoA kernel drift on {name}: good-machine values differ"
@@ -246,10 +256,10 @@ def bench_circuit(name, config, num_partitions, repeats=3, fault_cap=400):
     timings["soa_speedup"] = pergate_s / soa_s if soa_s else None
 
     # Event-driven oracle vs the fault-batched cone kernel.  ``fault_sim_s``
-    # keeps naming the *default* path so the cross-PR trajectory key stays
-    # meaningful.
+    # keeps naming the production path so the cross-PR trajectory key
+    # stays meaningful.
     event_s, event_responses = best_of(
-        repeats, lambda: sim.simulate_faults(sample, batch=0)
+        repeats, lambda: [sim.simulate_fault(fault) for fault in sample]
     )
     batch_s, batch_responses = best_of(
         repeats, lambda: sim.simulate_faults(sample)
@@ -262,19 +272,11 @@ def bench_circuit(name, config, num_partitions, repeats=3, fault_cap=400):
             assert np.array_equal(vec, b.cell_errors[cell]), (
                 f"batched kernel drift on {name}: {a.fault} cell {cell}"
             )
-    # The same batches with the SoA cone kernel switched off isolates the
-    # gate-axis win inside the batched path.
-    saved_soa = os.environ.get("REPRO_SOA")
-    os.environ["REPRO_SOA"] = "0"
-    try:
-        batch_pergate_s, _ = best_of(
-            repeats, lambda: sim.simulate_faults(sample)
-        )
-    finally:
-        if saved_soa is None:
-            os.environ.pop("REPRO_SOA", None)
-        else:
-            os.environ["REPRO_SOA"] = saved_soa
+    # The same batches through the per-gate reference cone replay
+    # isolates the gate-axis win inside the batched path.
+    batch_pergate_s, _ = best_of(
+        repeats, lambda: simulate_faults_pergate(sim, sample)
+    )
     timings["fault_sim_event_s"] = event_s
     timings["fault_sim_batch_s"] = batch_s
     timings["fault_sim_batch_pergate_s"] = batch_pergate_s
@@ -309,10 +311,10 @@ def bench_circuit(name, config, num_partitions, repeats=3, fault_cap=400):
     )
     diag_perfault_s, perfault_results = best_of(
         max(repeats, 3),
-        lambda: diagnose_population(
-            diag_responses, workload.scan_config, partitions, compactor,
-            chunk=0,
-        ),
+        lambda: [
+            diagnose(r, workload.scan_config, partitions, compactor)
+            for r in diag_responses
+        ],
     )
     for a, b in zip(perfault_results, batch_results):
         assert a.candidate_cells == b.candidate_cells, (

@@ -60,17 +60,6 @@ def main(argv=None):
         for name in args.require_metric:
             if not any(k == name or k.startswith(name + "{") for k in counters):
                 errors.append(f"metrics.counters: missing {name!r}")
-    # Kernel selection must always be recorded: without it a traced run's
-    # numbers cannot be attributed to the code path that produced them.
-    kernels = manifest.get("kernels")
-    if not isinstance(kernels, dict):
-        errors.append("kernels: kernel-selection record missing")
-        kernels = {}
-    else:
-        for field in ("gate_eval", "fault_sim"):
-            value = kernels.get(field)
-            if not isinstance(value, str) or not value:
-                errors.append(f"kernels.{field}: missing or empty")
     trace_summary = None
     if args.require_trace:
         try:
@@ -92,10 +81,9 @@ def main(argv=None):
         for error in errors:
             print(f"  - {error}", file=sys.stderr)
         return 1
-    selected = " ".join(f"{k}={kernels[k]}" for k in sorted(kernels))
     print(f"{path}: valid {manifest['schema']} "
           f"v{manifest['schema_version']} ({len(stages)} stages, "
-          f"{len(counters)} counters; {selected})")
+          f"{len(counters)} counters)")
     print(_profile_summary(manifest.get("profile")))
     if trace_summary is not None:
         print(trace_summary)

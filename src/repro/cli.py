@@ -497,10 +497,6 @@ def _faultsim_summary(metrics: Dict[str, Any]) -> List[list]:
     rows: List[list] = [["faults simulated", int(faults)]]
     if "faultsim.detected" in counters:
         rows.append(["detected", int(counters["faultsim.detected"])])
-    batched = counters.get("faultsim.batched_faults", 0)
-    rows.append(["batched faults",
-                 f"{int(batched)} ({batched / faults:.0%})" if batched
-                 else "0 (event-driven only)"])
     if "faultsim.batches" in counters:
         rows.append(["batches", int(counters["faultsim.batches"])])
     cone = histograms.get("faultsim.batch_cone_nets")
@@ -512,24 +508,17 @@ def _faultsim_summary(metrics: Dict[str, Any]) -> List[list]:
 
 
 def _kernel_summary(metrics: Dict[str, Any]) -> List[list]:
-    """The SoA level-schedule table: which gate-evaluation kernel ran,
-    the schedule shape, and the gather volume it moved."""
+    """The SoA level-schedule table: good-machine sims, the schedule
+    shape, and the gather volume it moved."""
     counters = metrics.get("counters", {})
     gauges = metrics.get("gauges", {})
-    sims: Dict[str, int] = {}
-    for key, value in counters.items():
-        name, labels = telemetry.split_metric_key(key)
-        if name == "logicsim.sims":
-            kernel = labels.get("kernel", "?")
-            sims[kernel] = sims.get(kernel, 0) + int(value)
+    sims = sum(
+        int(value) for key, value in counters.items()
+        if telemetry.split_metric_key(key)[0] == "logicsim.sims"
+    )
     rows: List[list] = []
     if sims:
-        rows.append(["good-machine sims",
-                     " ".join(f"{k}={v}" for k, v in sorted(sims.items()))])
-    if "faultsim.batches" in counters:
-        rows.append(["SoA cone batches",
-                     f"{int(counters.get('faultsim.soa_batches', 0))} of "
-                     f"{int(counters['faultsim.batches'])}"])
+        rows.append(["good-machine sims", sims])
     if "soa.levels" in gauges:
         rows.append(["SoA schedule",
                      f"{int(gauges['soa.levels'])} levels, "
@@ -543,7 +532,8 @@ def _kernel_summary(metrics: Dict[str, Any]) -> List[list]:
 
 def _diagnosis_summary(metrics: Dict[str, Any]) -> List[list]:
     """The fused-diagnosis table: how many faults went through the fused
-    kernel vs the per-fault fallback, and the launch shapes."""
+    kernel vs the per-fault fallback (scalar-only compactors, mixed
+    pattern counts), and the launch shapes."""
     counters = metrics.get("counters", {})
     histograms = metrics.get("histograms", {})
     fused = int(counters.get("diagnosis.batch_faults", 0))
@@ -552,9 +542,7 @@ def _diagnosis_summary(metrics: Dict[str, Any]) -> List[list]:
     if not total:
         return []
     rows: List[list] = [["faults diagnosed", total]]
-    rows.append(["fused faults",
-                 f"{fused} ({fused / total:.0%})" if fused
-                 else "0 (per-fault only)"])
+    rows.append(["fused faults", f"{fused} ({fused / total:.0%})"])
     if "diagnosis.batch_kernel_calls" in counters:
         rows.append(["kernel launches",
                      int(counters["diagnosis.batch_kernel_calls"])])

@@ -28,7 +28,6 @@ from .diagnosis import (
 )
 from .diagnosis_batch import (
     diagnose_population,
-    resolve_diagnosis_chunk,
     scatter_population_signatures,
 )
 from .interval import (
@@ -83,7 +82,6 @@ __all__ = [
     "diagnose_vectors",
     "diagnose_vectors_population",
     "failing_vectors",
-    "resolve_diagnosis_chunk",
     "scatter_population_signatures",
     "interleaved_scan_order",
     "permuted_scan_config",

@@ -24,14 +24,16 @@ objects whose outcomes are lazy, read-only
 signature tensor, so Table 1 / Figure 5 / superposition consumers are
 untouched.
 
-``REPRO_DIAGNOSIS_BATCH`` gates the kernel: unset/empty runs fused with the
-default chunk, ``0`` falls back to the per-fault oracle, any other integer
-is the number of faults fused per chunk (bounding the event tensor).
+Every population runs fused, :data:`DEFAULT_CHUNK` faults per launch
+(bounding the event tensor).  Only inputs the stacked kernel cannot take
+— a compactor with the scalar ``impulse_response`` protocol only, or
+responses with mixed pattern counts — fall back to the per-fault
+:func:`~repro.core.diagnosis.diagnose`, which is also the oracle the
+equivalence tests hold this kernel against.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,7 +48,7 @@ from ..sim.bitops import (
     word_positions,
 )
 from ..sim.faultsim import FaultResponse
-from ..telemetry import METRICS, span, warn_env_once
+from ..telemetry import METRICS, span
 from .diagnosis import DiagnosisResult, diagnose
 from .partitions import Partition, validate_partition_set
 
@@ -57,63 +59,28 @@ from .partitions import Partition, validate_partition_set
 DEFAULT_CHUNK = 256
 
 
-def resolve_diagnosis_chunk(chunk: Optional[int] = None) -> int:
-    """Normalize a fused-diagnosis chunk request.
-
-    ``None`` reads ``REPRO_DIAGNOSIS_BATCH``: unset/empty means the default
-    chunk, ``0`` disables fusion (per-fault oracle), any other integer is
-    the faults-per-chunk bound.  Unparseable values warn once
-    (``REPRO_LOG``) and fall back to the default.  Returns 0 (disabled) or
-    a chunk size >= 1.
-    """
-    if chunk is None:
-        raw = os.environ.get("REPRO_DIAGNOSIS_BATCH", "").strip()
-        if not raw:
-            return DEFAULT_CHUNK
-        try:
-            chunk = int(raw)
-        except ValueError:
-            warn_env_once(
-                "REPRO_DIAGNOSIS_BATCH", raw,
-                f"using the default chunk of {DEFAULT_CHUNK}",
-            )
-            return DEFAULT_CHUNK
-    if chunk <= 0:
-        return 0
-    return chunk
-
-
-def fused_enabled() -> bool:
-    """True when the environment selects the fused kernel."""
-    return resolve_diagnosis_chunk() > 0
-
-
 def diagnose_population(
     responses: Sequence[FaultResponse],
     scan_config: ScanConfig,
     partitions: Sequence[Partition],
     compactor: Optional[LinearCompactor] = None,
     channel_resolution: bool = True,
-    chunk: Optional[int] = None,
 ) -> List[DiagnosisResult]:
-    """Diagnose a whole fault population, fused (default) or per fault.
+    """Diagnose a whole fault population through the fused kernel.
 
-    Bit-identical to ``[diagnose(r, ...) for r in responses]`` for any
-    chunk size.  Falls back to the per-fault path when
-    fusion is disabled, the compactor only implements the scalar
-    ``impulse_response`` protocol, or the responses disagree on the
-    pattern count (the stacked extraction needs uniform word vectors).
+    Bit-identical to ``[diagnose(r, ...) for r in responses]``.  Falls
+    back to that per-fault loop when the compactor only implements the
+    scalar ``impulse_response`` protocol, or the responses disagree on
+    the pattern count (the stacked extraction needs uniform word vectors).
     """
     responses = list(responses)
     partitions = list(partitions)
-    chunk = resolve_diagnosis_chunk(chunk)
+    if not responses:
+        return []
     batched_compactor = compactor is None or hasattr(
         compactor, "batch_impulse_responses"
     )
-    uniform = len({r.num_patterns for r in responses}) <= 1
-    if not responses:
-        return []
-    if chunk == 0 or not batched_compactor or not uniform:
+    if not batched_compactor or len({r.num_patterns for r in responses}) > 1:
         METRICS.incr("diagnosis.perfault_faults", len(responses))
         return [
             diagnose(
@@ -130,9 +97,9 @@ def diagnose_population(
         )
     return [
         result
-        for start in range(0, len(responses), chunk)
+        for start in range(0, len(responses), DEFAULT_CHUNK)
         for result in _diagnose_chunk(
-            responses[start:start + chunk], scan_config, partitions,
+            responses[start:start + DEFAULT_CHUNK], scan_config, partitions,
             compactor, channel_resolution,
         )
     ]

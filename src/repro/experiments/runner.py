@@ -225,9 +225,8 @@ def evaluate_scheme(
     """Diagnose every sampled fault of the workload under one scheme.
 
     The whole population goes through the fused diagnosis kernel
-    (:func:`repro.core.diagnosis_batch.diagnose_population`; gated by
-    ``REPRO_DIAGNOSIS_BATCH``).  Results and DR are bit-identical to the
-    per-fault loop for any chunk size.
+    (:func:`repro.core.diagnosis_batch.diagnose_population`).  Results
+    and DR are bit-identical to the per-fault ``diagnose`` loop.
     """
     partitions = scheme_partitions(
         scheme,

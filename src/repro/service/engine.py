@@ -263,7 +263,7 @@ class DiagnosisEngine:
         :func:`repro.core.diagnosis_batch.diagnose_population` — a dynamic
         batch is exactly a fault population sharing one workload, so it
         collapses into a single signature scatter (chunked only when the
-        batch outgrows ``REPRO_DIAGNOSIS_BATCH``).  A kernel exception
+        batch outgrows ``diagnosis_batch.DEFAULT_CHUNK``).  A kernel exception
         answers every member with ``internal_error``.
         """
         with span("service.batch", kind="batch",

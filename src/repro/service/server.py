@@ -57,6 +57,7 @@ import argparse
 import asyncio
 import functools
 import json
+import math
 import os
 import signal
 import socket
@@ -691,6 +692,8 @@ class DiagnosisServer:
         except ValueError:
             raise ServiceError("invalid_argument",
                                "seconds and hz must be numeric")
+        if not math.isfinite(seconds):
+            raise ServiceError("invalid_argument", "seconds must be finite")
         seconds = min(max(seconds, 0.05), 30.0)
         loop = asyncio.get_event_loop()
         # The *default* executor, never self._executor: a burst must not
@@ -714,8 +717,10 @@ class DiagnosisServer:
         try:
             profiler = SamplingProfiler(hz=hz)
             profiler.start()
-            time.sleep(seconds)
-            profiler.stop()
+            try:
+                time.sleep(seconds)
+            finally:
+                profiler.stop()
             return profiler.data.folded_lines()
         finally:
             self._profile_lock.release()

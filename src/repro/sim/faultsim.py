@@ -11,9 +11,8 @@ paper's diagnosis schemes consume.
 from __future__ import annotations
 
 import bisect
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set
 
 import numpy as np
 
@@ -66,7 +65,6 @@ class FaultSimulator:
         self.num_patterns = good.num_patterns
         self._mask = pattern_mask(good.num_patterns)
         self._fanout = self._build_fanout_index()
-        self._level = self._build_levels()
         # Scan-cell positions observed by each D-input net.
         self._capture_cells: Dict[int, List[int]] = {}
         for cell_pos, row in enumerate(compiled.ff_capture_rows):
@@ -80,10 +78,6 @@ class FaultSimulator:
             for src in fanins:
                 fanout.setdefault(src, []).append(out_idx)
         return fanout
-
-    def _build_levels(self) -> np.ndarray:
-        # Topological position doubles as an evaluation priority.
-        return np.arange(self.compiled.num_nets, dtype=np.int64)
 
     # -- simulation -----------------------------------------------------------
 
@@ -176,29 +170,18 @@ class FaultSimulator:
         operands = [overrides.get(src, self.good.values[src]) for src in fanins]
         return _combine(operands, op, invert, self._mask)
 
-    def simulate_faults(
-        self,
-        faults: Sequence[Fault],
-        batch: Optional[int] = None,
-    ) -> List[FaultResponse]:
+    def simulate_faults(self, faults: Sequence[Fault]) -> List[FaultResponse]:
         """Error matrices for a fault population, in input order.
 
-        By default the population runs through the fault-batched cone
-        kernel (:mod:`repro.sim.faultsim_batch`; ``batch=None`` reads
-        ``REPRO_FAULT_BATCH``, 0 falls back to the per-fault event-driven
-        loop), which itself evaluates cones with the level-group SoA
-        schedule unless ``REPRO_SOA=0``.  Results are bit-identical to
-        the event-driven loop whichever kernels are selected.
+        The population runs through the fault-batched cone kernel
+        (:mod:`repro.sim.faultsim_batch`), bit-identical to looping
+        :meth:`simulate_fault`.
         """
-        from .faultsim_batch import resolve_batch_size, simulate_faults_batched
+        from .faultsim_batch import simulate_faults_batched
 
         faults = list(faults)
-        batch_size = resolve_batch_size(batch)
         with span("fault.sim", faults=len(faults)) as sp:
-            if batch_size and len(faults) > 1:
-                responses = simulate_faults_batched(self, faults, batch_size)
-            else:
-                responses = [self.simulate_fault(fault) for fault in faults]
+            responses = simulate_faults_batched(self, faults)
             sp.add("detected", sum(1 for r in responses if r.detected))
         return responses
 

@@ -24,62 +24,32 @@ of the block; lanes are completely independent:
   value after the gate is evaluated, mirroring how the event-driven path
   pins fault sites.
 
-Within a batch the cone itself is evaluated by one of two kernels:
-
-* the **level-group SoA kernel** (default, ``REPRO_SOA``): the circuit's
-  precompiled :mod:`repro.sim.soa` schedule is restricted to the union
-  cone and each cone level evaluates as a single numpy op over the whole
-  ``(lanes, gates, words)`` block — batching the gate axis on top of the
-  pattern and fault axes;
-* the **per-gate replay** (``REPRO_SOA=0``): the PR 4 loop over the
-  sorted cone, one ``(lanes, words)`` combine per gate.
+Within a batch the cone is evaluated by the level-group SoA kernel: the
+circuit's precompiled :mod:`repro.sim.soa` schedule is restricted to the
+union cone and each cone level evaluates as a single numpy op over the
+whole ``(lanes, gates, words)`` block — batching the gate axis on top of
+the pattern and fault axes.
 
 The result is bit-identical to :meth:`FaultSimulator.simulate_fault` per
-fault (``tests/test_perf_equivalence.py`` holds the paths together);
-the event-driven path remains both the fallback (``REPRO_FAULT_BATCH=0``)
-and the oracle.
+fault; the event-driven path is the oracle the equivalence tests hold
+this kernel against, and the per-gate cone replay it replaced lives on
+as a test-only reference (``tests/sim/pergate_reference.py``).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..telemetry import METRICS, warn_env_once
+from ..telemetry import METRICS
 from .faults import Fault
-from .logicsim import _OP_AND, _OP_OR, _OP_XOR, _combine
-from .soa import _REDUCERS, soa_enabled
+from .logicsim import _combine
+from .soa import _REDUCERS
 
 #: Default faults per batch; chosen so a (batch, words) block stays small
 #: enough to live in L1/L2 while amortizing the per-gate Python overhead.
 DEFAULT_BATCH = 64
-
-
-def resolve_batch_size(batch: Optional[int] = None) -> int:
-    """Normalize a fault-batch request.
-
-    ``None`` reads ``REPRO_FAULT_BATCH``: unset/empty means the default,
-    ``0`` disables batching (pure event-driven path), any other integer is
-    the batch size.  Unparseable values warn once (``REPRO_LOG``) and
-    fall back to the default.  Returns 0 (disabled) or a batch size >= 2.
-    """
-    if batch is None:
-        raw = os.environ.get("REPRO_FAULT_BATCH", "").strip()
-        if not raw:
-            return DEFAULT_BATCH
-        try:
-            batch = int(raw)
-        except ValueError:
-            warn_env_once(
-                "REPRO_FAULT_BATCH", raw,
-                f"using the default batch of {DEFAULT_BATCH}",
-            )
-            return DEFAULT_BATCH
-    if batch <= 0:
-        return 0
-    return max(2, batch)
 
 
 def plan_batches(
@@ -97,24 +67,8 @@ def plan_batches(
     return [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
 
 
-def simulate_batch(
-    simulator, faults: Sequence[Fault], soa: Optional[bool] = None
-) -> List["FaultResponse"]:
-    """Error matrices for one batch of faults, aligned with ``faults``.
-
-    Bit-identical to calling ``simulator.simulate_fault`` per fault.
-    ``soa`` selects the cone-evaluation kernel (``None`` defers to
-    ``REPRO_SOA``): the level-group SoA kernel evaluates each cone level
-    as one numpy op over the full ``(lanes, gates, words)`` block, the
-    per-gate fallback replays the compiled ops one gate at a time.
-    """
-    if soa_enabled(soa):
-        return _simulate_batch_soa(simulator, faults)
-    return _simulate_batch_pergate(simulator, faults)
-
-
 def _seed_lanes(simulator, faults: Sequence[Fault]):
-    """Per-lane fault-site seeding shared by both cone kernels.
+    """Per-lane fault-site seeding.
 
     Returns ``(seeds, stem_pins, pin_pins)``: one ``(site_idx, seeded
     vector)`` per lane, plus the per-site pinning tables used to re-force
@@ -161,75 +115,10 @@ def _union_cone(simulator, seed_sites) -> set:
     return cone
 
 
-def _simulate_batch_pergate(simulator, faults: Sequence[Fault]) -> List["FaultResponse"]:
-    """The per-gate cone replay (PR 4) — the batched kernel's oracle."""
-    compiled = simulator.compiled
-    good = simulator.good.values
-    mask = simulator._mask
-    words = good.shape[1]
-    batch = len(faults)
+def simulate_batch(simulator, faults: Sequence[Fault]) -> List["FaultResponse"]:
+    """Error matrices for one batch of faults, aligned with ``faults``.
 
-    seeds, stem_pins, pin_pins = _seed_lanes(simulator, faults)
-
-    # Per-net (batch, words) value blocks; nets absent from the map hold
-    # their fault-free value in every lane.
-    vals: Dict[int, np.ndarray] = {}
-    for lane, (site_idx, seeded) in enumerate(seeds):
-        block = vals.get(site_idx)
-        if block is None:
-            block = np.empty((batch, words), dtype=np.uint64)
-            block[:] = good[site_idx]
-            vals[site_idx] = block
-        block[lane] = seeded
-
-    # Net indices are topological, so sorting the union cone is a valid
-    # evaluation schedule.
-    cone = _union_cone(simulator, (site for site, _ in seeds))
-    schedule = sorted(cone)
-    METRICS.incr("faultsim.batches")
-    METRICS.observe("faultsim.batch_cone_nets", len(schedule))
-
-    for out_idx in schedule:
-        _out, op, invert, fanins = compiled.gate_op(out_idx)
-        operands = [vals.get(src) for src in fanins]
-        block = _combine_batch(
-            [op_val if op_val is not None else good[src]
-             for op_val, src in zip(operands, fanins)],
-            op, invert, mask, batch, words,
-        )
-        # Re-pin fault sites that sit inside another lane's cone.
-        for lane, stuck_vec in stem_pins.get(out_idx, ()):
-            block[lane] = stuck_vec
-        for lane, fanin_pos, stuck_vec in pin_pins.get(out_idx, ()):
-            lane_ops = [
-                stuck_vec if pos == fanin_pos
-                else (vals[src][lane] if src in vals else good[src])
-                for pos, src in enumerate(fanins)
-            ]
-            block[lane] = _combine(lane_ops, op, invert, mask)
-        vals[out_idx] = block
-
-    # Collect captured errors at scan cells, per lane.
-    capture_cells = simulator._capture_cells
-    per_lane: List[Dict[int, np.ndarray]] = [{} for _ in range(batch)]
-    for net_idx, block in vals.items():
-        cells = capture_cells.get(net_idx)
-        if not cells:
-            continue
-        diff = (block ^ good[net_idx]) & mask
-        for lane in np.nonzero(diff.any(axis=1))[0]:
-            row = diff[lane]
-            for cell_pos in cells:
-                per_lane[int(lane)][cell_pos] = row.copy()
-    return [
-        simulator._response(fault, per_lane[lane])
-        for lane, fault in enumerate(faults)
-    ]
-
-
-def _simulate_batch_soa(simulator, faults: Sequence[Fault]) -> List["FaultResponse"]:
-    """Level-group SoA evaluation of one fault batch.
-
+    Bit-identical to calling ``simulator.simulate_fault`` per fault.
     The circuit's SoA schedule is restricted to the batch's union fanout
     cone and every restricted level group is evaluated as **one** numpy
     op over the whole ``(lanes, gates, words)`` block.  The block is
@@ -239,8 +128,8 @@ def _simulate_batch_soa(simulator, faults: Sequence[Fault]) -> List["FaultRespon
     ``lanes``-times wider word axis.  To keep every gather inside the
     block, its rows are the cone gates plus the fault sites plus every
     fanin any cone gate reads; rows outside the cone hold fault-free
-    values in all lanes, which is exactly what per-gate replay reads for
-    them.  Per-lane fault-site pinning is applied at level boundaries —
+    values in all lanes, which is exactly what a fault-free fanin
+    carries.  Per-lane fault-site pinning is applied at level boundaries —
     every consumer of a level-``L`` site lives at a level ``> L``, so
     the fixup lands before anyone reads the site.
     """
@@ -254,7 +143,6 @@ def _simulate_batch_soa(simulator, faults: Sequence[Fault]) -> List["FaultRespon
     seeds, stem_pins, pin_pins = _seed_lanes(simulator, faults)
     cone = _union_cone(simulator, (site for site, _ in seeds))
     METRICS.incr("faultsim.batches")
-    METRICS.incr("faultsim.soa_batches")
     METRICS.observe("faultsim.batch_cone_nets", len(cone))
 
     # Restrict the schedule to the cone and collect the compact row set:
@@ -347,57 +235,18 @@ def _simulate_batch_soa(simulator, faults: Sequence[Fault]) -> List["FaultRespon
 
 
 def simulate_faults_batched(
-    simulator,
-    faults: Sequence[Fault],
-    batch_size: int,
-    soa: Optional[bool] = None,
+    simulator, faults: Sequence[Fault]
 ) -> List["FaultResponse"]:
     """Fault-batched population simulation, results in input order.
 
-    Batches are planned deterministically, so the responses are
-    bit-identical to the per-fault event-driven loop.
+    Batches of :data:`DEFAULT_BATCH` faults are planned deterministically,
+    so the responses are bit-identical to the per-fault event-driven loop.
     """
     faults = list(faults)
-    batches = plan_batches(simulator, faults, batch_size)
-    METRICS.incr("faultsim.batched_faults", len(faults))
-    use_soa = soa_enabled(soa)
+    batches = plan_batches(simulator, faults, DEFAULT_BATCH)
     out: List[Optional["FaultResponse"]] = [None] * len(faults)
     for indices in batches:
-        responses = simulate_batch(
-            simulator, [faults[i] for i in indices], soa=use_soa
-        )
+        responses = simulate_batch(simulator, [faults[i] for i in indices])
         for i, response in zip(indices, responses):
             out[i] = response
     return out  # type: ignore[return-value]
-
-
-def _combine_batch(
-    operands: Sequence[np.ndarray],
-    op: int,
-    invert: bool,
-    mask: np.ndarray,
-    batch: int,
-    words: int,
-) -> np.ndarray:
-    """:func:`repro.sim.logicsim._combine` over a ``(batch, words)`` block.
-
-    Operands may be 1-D fault-free vectors (broadcast over lanes) or
-    per-lane 2-D blocks; the result is always a fresh 2-D block.
-    """
-    first = operands[0]
-    acc = np.empty((batch, words), dtype=np.uint64)
-    acc[:] = first
-    if op == _OP_AND:
-        for other in operands[1:]:
-            acc &= other
-    elif op == _OP_OR:
-        for other in operands[1:]:
-            acc |= other
-    elif op == _OP_XOR:
-        for other in operands[1:]:
-            acc ^= other
-    # _OP_BUF: single operand, nothing to combine.
-    if invert:
-        np.invert(acc, out=acc)
-    acc &= mask
-    return acc

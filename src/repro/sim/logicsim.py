@@ -11,7 +11,7 @@ responses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -112,7 +112,7 @@ class CompiledCircuit:
             entry[0]: entry for entry in ops
         }
         # Lazily built level-group schedule (repro.sim.soa); None until
-        # the first SoA-path simulation asks for it.
+        # the first simulation asks for it.
         self._soa_schedule = None
 
     # -- properties --------------------------------------------------------
@@ -145,15 +145,13 @@ class CompiledCircuit:
         pi_values: np.ndarray,
         ff_values: np.ndarray,
         num_patterns: int,
-        soa: Optional[bool] = None,
     ) -> SimResult:
-        """Evaluate all patterns.
+        """Evaluate all patterns through the level-group schedule
+        (:mod:`repro.sim.soa`).
 
         ``pi_values`` has shape ``(n_pi, words)`` and ``ff_values``
         ``(n_ff, words)`` — the values scanned into the cells before the
-        capture cycle.  ``soa`` selects the gate-evaluation kernel:
-        ``None`` defers to ``REPRO_SOA`` (default on), ``False`` forces
-        the per-gate oracle loop.  Both kernels are bit-identical.
+        capture cycle.
         """
         words = num_words(num_patterns)
         if pi_values.shape != (len(self.pi_rows), words):
@@ -164,31 +162,15 @@ class CompiledCircuit:
             raise ValueError(
                 f"ff_values shape {ff_values.shape} != ({len(self.ff_rows)}, {words})"
             )
-        from .soa import soa_enabled
-
         mask = pattern_mask(num_patterns)
         values = np.zeros((self.num_nets, words), dtype=np.uint64)
         values[self.pi_rows] = pi_values & mask
         values[self.ff_rows] = ff_values & mask
-        if soa_enabled(soa) and self._ops:
+        # A netlist with no combinational gates has nothing to schedule.
+        if self._ops:
             self.soa_schedule().run(values, mask)
-            METRICS.incr("logicsim.sims", labels={"kernel": "soa"})
-        else:
-            for out_idx, op, invert, fanins in self._ops:
-                values[out_idx] = _eval_gate(values, op, invert, fanins, mask)
-            METRICS.incr("logicsim.sims", labels={"kernel": "per-gate"})
+        METRICS.incr("logicsim.sims")
         return SimResult(self, values, num_patterns)
-
-    def evaluate_net(
-        self, values: np.ndarray, net_idx: int, mask: np.ndarray
-    ) -> np.ndarray:
-        """Re-evaluate a single combinational net against ``values`` (used by
-        the event-driven fault simulator)."""
-        _out, op, invert, fanins = self._ops_by_net[net_idx]
-        return _eval_gate(values, op, invert, fanins, mask)
-
-    def gate_fanins(self, net_idx: int) -> Tuple[int, ...]:
-        return self._ops_by_net[net_idx][3]
 
     def gate_op(self, net_idx: int) -> Tuple[int, int, bool, Tuple[int, ...]]:
         """Compiled ``(out, opcode, invert, fanins)`` entry for one net —
@@ -211,12 +193,6 @@ class CompiledCircuit:
             for pos, src in enumerate(fanins)
         ]
         return _combine(operands, op, invert, mask)
-
-
-def _eval_gate(
-    values: np.ndarray, op: int, invert: bool, fanins: Sequence[int], mask: np.ndarray
-) -> np.ndarray:
-    return _combine([values[src] for src in fanins], op, invert, mask)
 
 
 def _combine(

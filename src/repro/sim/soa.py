@@ -1,11 +1,11 @@
 """Level-packed structure-of-arrays (SoA) gate-evaluation schedule.
 
-The compiled per-gate loop (:meth:`CompiledCircuit.simulate`) is
+Good-machine simulation (:meth:`CompiledCircuit.simulate`) is
 bit-parallel along the *pattern* axis and the cone kernel
-(:mod:`repro.sim.faultsim_batch`) batches the *fault* axis, but both
-still pay a Python-level iteration per gate.  This module closes the
-third axis — *gates*: the levelized netlist is compiled once into a
-schedule of homogeneous **level groups**, each holding every
+(:mod:`repro.sim.faultsim_batch`) batches the *fault* axis; a loop over
+the compiled ops would still pay a Python-level iteration per gate.
+This module batches the third axis — *gates*: the levelized netlist is
+compiled once into a schedule of homogeneous **level groups**, each holding every
 combinational gate that shares a ``(level, opcode, fanin-arity)``
 signature:
 
@@ -28,51 +28,28 @@ is built once per circuit and memoized through the standard
 memory→disk cache tiers (kind ``"soa-schedule"``, keyed by circuit name
 and a structural digest) — warm service starts pay nothing.
 
-``REPRO_SOA`` gates the kernel (default on; ``0`` selects the per-gate
-loop, which remains the oracle the equivalence tests hold the SoA path
-against).  The two paths are bit-identical by construction: they
-evaluate the same compiled ops with the same word arithmetic, only the
-iteration order within a level differs — and within a level, order
-cannot matter.
+This is the only gate-evaluation kernel.  The per-gate loop it replaced
+lives on as a test-only oracle (``tests/sim/pergate_reference.py``); the
+two are bit-identical by construction: they evaluate the same compiled
+ops with the same word arithmetic, only the iteration order within a
+level differs — and within a level, order cannot matter.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..telemetry import METRICS, warn_env_once  # noqa: F401 - re-exported
-                                                # for legacy importers
+from ..telemetry import METRICS
 
 #: Reduction ufunc per opcode (see ``logicsim._OP_*``).  BUF (3) never
 #: reduces — buffers are single-operand and take the gather-only path.
 _REDUCERS = {0: np.bitwise_and, 1: np.bitwise_or, 2: np.bitwise_xor}
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def soa_enabled(override: Optional[bool] = None) -> bool:
-    """Resolve the gate-evaluation kernel choice.
-
-    ``override`` wins when given; otherwise ``REPRO_SOA`` is read —
-    unset/empty means on (the default), ``0`` selects the per-gate
-    oracle path, any other integer means on.  Unparseable values warn
-    once and keep the default.
-    """
-    if override is not None:
-        return bool(override)
-    raw = os.environ.get("REPRO_SOA", "").strip()
-    if not raw:
-        return True
-    try:
-        return int(raw) != 0
-    except ValueError:
-        warn_env_once("REPRO_SOA", raw, "keeping the SoA kernel enabled")
-        return True
 
 
 @dataclass

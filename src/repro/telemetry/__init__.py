@@ -29,7 +29,6 @@ from .export import (
     build_manifest,
     config_hash,
     git_sha,
-    kernel_selection,
     print_span_tree,
     read_trace_jsonl,
     render_span_tree,
@@ -110,7 +109,6 @@ __all__ = [
     "enable_tracing",
     "format_traceparent",
     "git_sha",
-    "kernel_selection",
     "log",
     "log_level",
     "make_record",

@@ -48,9 +48,6 @@ ENV_KNOBS = (
     "REPRO_FAULTS",
     "REPRO_FAULTS_LARGE",
     "REPRO_SCALE",
-    "REPRO_SOA",
-    "REPRO_FAULT_BATCH",
-    "REPRO_DIAGNOSIS_BATCH",
     "REPRO_SERVE_PORT",
     "REPRO_BATCH_MAX",
     "REPRO_BATCH_WAIT_MS",
@@ -61,9 +58,10 @@ ENV_KNOBS = (
 MANIFEST_SCHEMA_NAME = "repro-run-manifest"
 #: v2 added the required ``kernels`` kernel-selection record; v3 adds the
 #: required ``profile`` sampling-profiler record (``enabled`` false when
-#: the run was not profiled).  v2 manifests still validate — the profile
-#: requirement only binds manifests that declare version >= 3.
-MANIFEST_SCHEMA_VERSION = 3
+#: the run was not profiled); v4 drops ``kernels`` — each layer has one
+#: kernel, so there is no selection left to record.  Older manifests
+#: still validate against the rules of the version they declare.
+MANIFEST_SCHEMA_VERSION = 4
 
 #: Required manifest keys and the types their values must satisfy.  A
 #: deliberately small, dependency-free schema: ``validate_manifest``
@@ -77,13 +75,12 @@ MANIFEST_SCHEMA: Dict[str, Any] = {
     "config_hash": (str, type(None)),
     "seed": (int, type(None)),
     "env": dict,
-    "kernels": dict,
     "metrics": dict,
     "span_rollup": list,
 }
 
-#: Required kernel-selection fields inside ``manifest["kernels"]`` — the
-#: record auditors use to tell which code paths produced a run's numbers.
+#: Required fields of the ``kernels`` kernel-selection record of v2/v3
+#: manifests (v4 manifests carry none).
 _KERNELS_SCHEMA: Dict[str, Any] = {
     "gate_eval": str,
     "fault_sim": str,
@@ -254,29 +251,6 @@ def config_hash(config: Any) -> Optional[str]:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def kernel_selection() -> Dict[str, Any]:
-    """Which hot-path kernels the current environment selects.
-
-    Resolved through the same functions the simulators use, so the
-    manifest records what actually ran, not a copy of the env strings.
-    The import is deferred: the sim stack imports telemetry at module
-    load.
-    """
-    from ..core.diagnosis_batch import resolve_diagnosis_chunk
-    from ..sim.faultsim_batch import resolve_batch_size
-    from ..sim.soa import soa_enabled
-
-    batch = resolve_batch_size()
-    diagnosis_chunk = resolve_diagnosis_chunk()
-    return {
-        "gate_eval": "soa" if soa_enabled() else "per-gate",
-        "fault_sim": "batched" if batch else "event-driven",
-        "fault_batch": batch,
-        "diagnosis": "fused" if diagnosis_chunk else "per-fault",
-        "diagnosis_chunk": diagnosis_chunk,
-    }
-
-
 def build_manifest(
     config: Any = None,
     seed: Optional[int] = None,
@@ -299,7 +273,6 @@ def build_manifest(
         "config_hash": config_hash(config),
         "seed": seed,
         "env": {knob: os.environ.get(knob, "") for knob in ENV_KNOBS},
-        "kernels": kernel_selection(),
         "profile": PROFILER.manifest_record(),
         "metrics": METRICS.snapshot(),
         "span_rollup": span_rollup(spans),
@@ -333,7 +306,12 @@ def validate_manifest(manifest: Any) -> List[str]:
             f"supported {MANIFEST_SCHEMA_VERSION}"
         )
     _check_fields(manifest["run"], _RUN_SCHEMA, "run.", errors)
-    _check_fields(manifest["kernels"], _KERNELS_SCHEMA, "kernels.", errors)
+    if manifest["schema_version"] < 4:
+        # v2/v3 manifests recorded which kernel each layer ran.
+        _check_fields(manifest, {"kernels": dict}, "", errors)
+        if isinstance(manifest.get("kernels"), dict):
+            _check_fields(manifest["kernels"], _KERNELS_SCHEMA, "kernels.",
+                          errors)
     if manifest["schema_version"] >= 3:
         # v3 made the profiler record mandatory; v2 manifests (written
         # before the profiler existed) stay valid without it.

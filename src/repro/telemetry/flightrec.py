@@ -270,10 +270,6 @@ class FlightRecorder:
                     self._slow_floor[key] = \
                         slow[-1].get("duration_ms", 0.0)
 
-    def record_many(self, records: Iterable[Dict[str, Any]]) -> None:
-        for record in records:
-            self.record(record)
-
     # -- reading (never stops the world) ------------------------------------
 
     def snapshot(self, limit: int = 50) -> Dict[str, Any]:

@@ -69,11 +69,11 @@ def debug(message: Any) -> None:
 def warn_env_once(knob: str, raw: str, fallback: str) -> None:
     """One-time ``REPRO_LOG`` warning for an unparseable env knob.
 
-    Silent fallbacks hide typos (``REPRO_SOA=of``, ``REPRO_PROFILE_HZ=fast``)
+    Silent fallbacks hide typos (``REPRO_TRACE=of``, ``REPRO_PROFILE_HZ=fast``)
     until someone audits a benchmark; naming the bad value once per process
     surfaces them without spamming hot loops.  Shared by every knob reader
-    (:mod:`repro.sim.soa`, :mod:`repro.sim.faultsim_batch`,
-    :mod:`repro.telemetry.tracer`, :mod:`repro.telemetry.profiler`).
+    (:mod:`repro.telemetry.tracer`, :mod:`repro.telemetry.flightrec`,
+    :mod:`repro.telemetry.profiler`).
     """
     token = (knob, raw)
     if token in _WARNED_ENV:

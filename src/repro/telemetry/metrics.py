@@ -268,21 +268,6 @@ class MetricsRegistry:
                 }
         return {"counters": counters, "gauges": now["gauges"], "histograms": histograms}
 
-    def merge(self, delta: Dict[str, Any]) -> None:
-        """Fold a :meth:`diff` (or full snapshot) from another process in."""
-        if not delta:
-            return
-        with self._lock:
-            for key, value in delta.get("counters", {}).items():
-                self._counters[key] = self._counters.get(key, 0) + value
-            for key, value in delta.get("gauges", {}).items():
-                self._gauges[key] = value
-            for key, data in delta.get("histograms", {}).items():
-                hist = self._histograms.get(key)
-                if hist is None:
-                    hist = self._histograms[key] = Histogram()
-                hist.merge(data)
-
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()

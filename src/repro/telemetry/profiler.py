@@ -129,11 +129,7 @@ def _fold_stack(frame: Optional[FrameType], span: Optional[str]) -> str:
 
 
 class ProfileData:
-    """Folded-stack sample counts with snapshot/diff/merge algebra.
-
-    The same protocol shape as :class:`repro.telemetry.metrics.MetricsRegistry`:
-    snapshot before a section, diff after, merge elsewhere.
-    """
+    """Folded-stack sample counts."""
 
     __slots__ = ("samples", "dropped")
 
@@ -147,22 +143,6 @@ class ProfileData:
     @property
     def total(self) -> int:
         return sum(self.samples.values())
-
-    def snapshot(self) -> Dict[str, int]:
-        return dict(self.samples)
-
-    def diff(self, before: Dict[str, int]) -> Dict[str, int]:
-        return {
-            key: count - before.get(key, 0)
-            for key, count in self.samples.items()
-            if count - before.get(key, 0)
-        }
-
-    def merge(self, delta: Optional[Dict[str, int]]) -> None:
-        if not delta:
-            return
-        for key, count in delta.items():
-            self.samples[key] = self.samples.get(key, 0) + count
 
     def clear(self) -> None:
         self.samples.clear()

@@ -1,7 +1,7 @@
 """Equivalence tests for the population-fused diagnosis kernel.
 
-The fused kernel is a pure optimization: for any chunk size, worker
-count, compactor and channel-resolution setting it must return
+The fused kernel is a pure optimization: for any chunk size, compactor
+and channel-resolution setting it must return
 bit-identical :class:`DiagnosisResult` objects to the per-fault
 :func:`repro.core.diagnosis.diagnose` oracle.
 """
@@ -18,11 +18,10 @@ from repro.bist.session import (
     collect_population_events,
 )
 from repro.core.diagnosis import diagnose, diagnostic_resolution
+from repro.core import diagnosis_batch
 from repro.core.diagnosis_batch import (
-    DEFAULT_CHUNK,
     diagnose_population,
     group_membership,
-    resolve_diagnosis_chunk,
     verdict_prefixes,
 )
 from repro.core.partitions import Partition
@@ -32,8 +31,14 @@ from repro.core.vector_diagnosis import (
     diagnose_vectors,
     diagnose_vectors_population,
 )
+from repro.experiments import runner
+from repro.experiments.cache import clear_caches
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import build_circuit_workload, scheme_partitions
+from repro.experiments.runner import (
+    build_circuit_workload,
+    evaluate_scheme,
+    scheme_partitions,
+)
 from repro.sim.bitops import pack_bits, position_words, word_positions
 from repro.sim.faults import Fault
 from repro.sim.faultsim import FaultResponse
@@ -152,17 +157,17 @@ class TestFusedEquivalence:
         )
         assert_results_identical(oracle, fused)
 
-    def test_chunked_matches_unchunked(self):
+    def test_chunked_matches_unchunked(self, monkeypatch):
         workload, partitions, config = circuit_population("s953")
         compactor = make_compactor("misr", config, workload.scan_config.num_chains)
+        monkeypatch.setattr(diagnosis_batch, "DEFAULT_CHUNK", 1000)
         whole = diagnose_population(
             workload.responses, workload.scan_config, partitions, compactor,
-            chunk=1000,
         )
         for chunk in (1, 3, 7):
+            monkeypatch.setattr(diagnosis_batch, "DEFAULT_CHUNK", chunk)
             chunked = diagnose_population(
                 workload.responses, workload.scan_config, partitions, compactor,
-                chunk=chunk,
             )
             assert_results_identical(whole, chunked)
 
@@ -221,17 +226,34 @@ class TestFusedEquivalence:
         oracle = [diagnose(r, config, partitions, None) for r in responses]
         assert_results_identical(oracle, fused)
 
-    def test_env_zero_selects_per_fault_path(self, monkeypatch):
-        workload, partitions, _ = circuit_population("s27")
-        monkeypatch.setenv("REPRO_DIAGNOSIS_BATCH", "0")
-        via_env = diagnose_population(
-            workload.responses, workload.scan_config, partitions, None
+    def test_per_fault_evaluation_matches_fused(self, monkeypatch):
+        """End to end: ``evaluate_scheme`` with the per-fault ``diagnose``
+        loop patched in gives the fused kernel's DR and results."""
+        config = CONFIGS["s953"]
+        clear_caches()
+        fused = evaluate_scheme(
+            build_circuit_workload("s953", config), "two-step", 4, 4, config,
+            with_pruning=True,
         )
-        monkeypatch.delenv("REPRO_DIAGNOSIS_BATCH")
-        fused = diagnose_population(
-            workload.responses, workload.scan_config, partitions, None
+
+        def per_fault(responses, scan_config, partitions, compactor=None,
+                      channel_resolution=True):
+            return [
+                diagnose(r, scan_config, partitions, compactor,
+                         channel_resolution=channel_resolution)
+                for r in responses
+            ]
+
+        monkeypatch.setattr(runner, "diagnose_population", per_fault)
+        clear_caches()
+        oracle = evaluate_scheme(
+            build_circuit_workload("s953", config), "two-step", 4, 4, config,
+            with_pruning=True,
         )
-        assert_results_identical(via_env, fused)
+        clear_caches()
+        assert oracle.dr == fused.dr
+        assert oracle.dr_pruned == fused.dr_pruned
+        assert_results_identical(oracle.results, fused.results)
 
 
 #: Three ragged chains of 13/12/11 cells: no length is a multiple of 8 or
@@ -254,7 +276,7 @@ class TestRaggedChains:
     @pytest.mark.parametrize("channel_resolution", [True, False])
     @pytest.mark.parametrize("compactor_kind", ["exact", "misr"])
     def test_matches_per_fault_oracle(self, rng, compactor_kind,
-                                      channel_resolution):
+                                      channel_resolution, monkeypatch):
         responses, partitions = self.population(rng)
         compactor = make_compactor(
             compactor_kind, ExperimentConfig(), RAGGED.num_chains
@@ -264,10 +286,11 @@ class TestRaggedChains:
                      channel_resolution=channel_resolution)
             for r in responses
         ]
-        for chunk in (None, 4):
+        for chunk in (diagnosis_batch.DEFAULT_CHUNK, 4):
+            monkeypatch.setattr(diagnosis_batch, "DEFAULT_CHUNK", chunk)
             fused = diagnose_population(
                 responses, RAGGED, partitions, compactor,
-                channel_resolution=channel_resolution, chunk=chunk,
+                channel_resolution=channel_resolution,
             )
             assert_results_identical(oracle, fused)
         # Absent positions (past a short chain's end) are never candidates.
@@ -374,7 +397,7 @@ class TestFusedVectorDiagnosis:
         return config, responses, partitions
 
     @pytest.mark.parametrize("compactor_kind", ["exact", "misr"])
-    def test_matches_per_fault_loop(self, rng, compactor_kind):
+    def test_matches_per_fault_loop(self, rng, compactor_kind, monkeypatch):
         config, responses, partitions = self.vector_setup(rng)
         compactor = make_compactor(
             compactor_kind, ExperimentConfig(), config.num_chains
@@ -382,9 +405,10 @@ class TestFusedVectorDiagnosis:
         oracle = [
             diagnose_vectors(r, config, partitions, compactor) for r in responses
         ]
-        for chunk in (None, 2, 1000):
+        for chunk in (diagnosis_batch.DEFAULT_CHUNK, 2, 1000):
+            monkeypatch.setattr(diagnosis_batch, "DEFAULT_CHUNK", chunk)
             fused = diagnose_vectors_population(
-                responses, config, partitions, compactor, chunk=chunk
+                responses, config, partitions, compactor
             )
             for a, b in zip(oracle, fused):
                 assert a.actual_vectors == b.actual_vectors
@@ -403,48 +427,3 @@ class TestFusedVectorDiagnosis:
     def test_empty_population(self, rng):
         config, _, partitions = self.vector_setup(rng)
         assert diagnose_vectors_population([], config, partitions, None) == []
-
-
-class TestResolveDiagnosisChunk:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DIAGNOSIS_BATCH", raising=False)
-        assert resolve_diagnosis_chunk() == DEFAULT_CHUNK
-
-    def test_zero_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DIAGNOSIS_BATCH", "0")
-        assert resolve_diagnosis_chunk() == 0
-
-    def test_negative_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DIAGNOSIS_BATCH", "-4")
-        assert resolve_diagnosis_chunk() == 0
-
-    def test_explicit_size(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DIAGNOSIS_BATCH", "17")
-        assert resolve_diagnosis_chunk() == 17
-
-    def test_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DIAGNOSIS_BATCH", "17")
-        assert resolve_diagnosis_chunk(8) == 8
-        assert resolve_diagnosis_chunk(0) == 0
-
-    def test_garbage_env_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DIAGNOSIS_BATCH", "banana")
-        assert resolve_diagnosis_chunk() == DEFAULT_CHUNK
-
-    def test_garbage_env_warns_once(self, monkeypatch, capsys):
-        import importlib
-
-        # repro.telemetry re-exports the log *function* under the submodule
-        # name, so attribute-style imports resolve to the function — go
-        # through importlib to reach the module that owns _WARNED_ENV.
-        telemetry_log = importlib.import_module("repro.telemetry.log")
-
-        monkeypatch.setenv("REPRO_LOG", "info")
-        monkeypatch.setenv("REPRO_DIAGNOSIS_BATCH", "banana")
-        monkeypatch.setattr(telemetry_log, "_WARNED_ENV", set())
-        assert resolve_diagnosis_chunk() == DEFAULT_CHUNK
-        err = capsys.readouterr().err
-        assert "REPRO_DIAGNOSIS_BATCH" in err and "'banana'" in err
-        # The warning names the bad value exactly once per process.
-        assert resolve_diagnosis_chunk() == DEFAULT_CHUNK
-        assert capsys.readouterr().err == ""

@@ -271,6 +271,23 @@ class TestDebugEndpoints:
         assert error.retry_after_s
 
 
+    @pytest.mark.parametrize("seconds", ["nan", "inf", "-inf"])
+    def test_non_finite_profile_seconds_rejected(self, live_server, seconds):
+        """A non-finite burst length answers 400 and leaves no sampler
+        thread behind (``time.sleep(nan)`` used to raise mid-burst)."""
+        _, port = live_server()
+        with ServiceClient(port=port) as client:
+            client.wait_ready()
+            status, data = client._request(
+                "GET", f"/debug/profile?seconds={seconds}", raw=True)
+            with pytest.raises(ServiceError) as exc:
+                client.debug_profile(seconds=float(seconds))
+        assert status == 400, data
+        assert exc.value.code == "invalid_argument"
+        assert not [t for t in threading.enumerate()
+                    if t.name == "repro-profiler"]
+
+
 class TestOutcomeLabels:
     def test_saturated_queue_shows_rejected_outcome(self, live_server):
         """429s from admission control must land in the error taxonomy

@@ -10,10 +10,9 @@ import pytest
 
 from repro.circuit.library import get_circuit
 from repro.sim.faults import collapse_faults
+from repro.sim import faultsim_batch
 from repro.sim.faultsim_batch import (
-    DEFAULT_BATCH,
     plan_batches,
-    resolve_batch_size,
     simulate_batch,
     simulate_faults_batched,
 )
@@ -38,51 +37,6 @@ def sampled_population(name, num_patterns, count, seed):
     return core.fault_simulator, [faults[i] for i in idx]
 
 
-class TestResolveBatchSize:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULT_BATCH", raising=False)
-        assert resolve_batch_size() == DEFAULT_BATCH
-
-    def test_zero_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_BATCH", "0")
-        assert resolve_batch_size() == 0
-
-    def test_explicit_size(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_BATCH", "17")
-        assert resolve_batch_size() == 17
-
-    def test_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_BATCH", "17")
-        assert resolve_batch_size(8) == 8
-        assert resolve_batch_size(0) == 0
-
-    def test_garbage_env_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_BATCH", "banana")
-        assert resolve_batch_size() == DEFAULT_BATCH
-
-    def test_garbage_env_warns_once(self, monkeypatch, capsys):
-        import importlib
-
-        # repro.telemetry re-exports the log *function* under the submodule
-        # name, so attribute-style imports resolve to the function — go
-        # through importlib to reach the module that owns _WARNED_ENV.
-        telemetry_log = importlib.import_module("repro.telemetry.log")
-
-        monkeypatch.setenv("REPRO_LOG", "info")
-        monkeypatch.setenv("REPRO_FAULT_BATCH", "banana")
-        monkeypatch.setattr(telemetry_log, "_WARNED_ENV", set())
-        assert resolve_batch_size() == DEFAULT_BATCH
-        err = capsys.readouterr().err
-        assert "REPRO_FAULT_BATCH" in err and "'banana'" in err
-        # The warning names the bad value exactly once per process.
-        assert resolve_batch_size() == DEFAULT_BATCH
-        assert capsys.readouterr().err == ""
-
-    def test_batch_of_one_rounds_up(self):
-        # A 1-fault "batch" would be pure overhead; the kernel floor is 2.
-        assert resolve_batch_size(1) == 2
-
-
 class TestPlanBatches:
     def test_covers_every_fault_once(self):
         sim, faults = sampled_population("s27", 64, 30, seed=3)
@@ -105,11 +59,12 @@ class TestPlanBatches:
 
 class TestBatchedEquivalence:
     @pytest.mark.parametrize("name,patterns", [("s27", 100), ("s953", 128)])
-    def test_bit_identical_to_event_driven(self, name, patterns):
+    def test_bit_identical_to_event_driven(self, name, patterns, monkeypatch):
         sim, faults = sampled_population(name, patterns, 120, seed=11)
         event = [sim.simulate_fault(f) for f in faults]
-        for batch_size in (2, 7, 32):
-            batched = simulate_faults_batched(sim, faults, batch_size)
+        for batch_size in (1, 2, 7, 32):
+            monkeypatch.setattr(faultsim_batch, "DEFAULT_BATCH", batch_size)
+            batched = simulate_faults_batched(sim, faults)
             assert_identical(event, batched)
 
     def test_single_batch_kernel(self):
@@ -118,36 +73,27 @@ class TestBatchedEquivalence:
         batched = simulate_batch(sim, faults)
         assert_identical(event, batched)
 
-    def test_non_word_multiple_patterns_tail_clean(self):
+    def test_non_word_multiple_patterns_tail_clean(self, monkeypatch):
         # 100 patterns leaves 28 unused tail bits; no error vector may
         # ever set them.
         from repro.sim.bitops import pattern_mask
 
+        monkeypatch.setattr(faultsim_batch, "DEFAULT_BATCH", 16)
         sim, faults = sampled_population("s953", 100, 60, seed=23)
         mask = pattern_mask(100)
-        for response in simulate_faults_batched(sim, faults, 16):
+        for response in simulate_faults_batched(sim, faults):
             for vec in response.cell_errors.values():
                 assert np.array_equal(vec & mask, vec)
 
-    def test_simulate_faults_dispatches_to_batched(self, monkeypatch):
+    def test_simulate_faults_dispatches_to_batched(self):
         from repro.telemetry import METRICS
 
-        monkeypatch.delenv("REPRO_FAULT_BATCH", raising=False)
         sim, faults = sampled_population("s27", 64, 20, seed=9)
         before = METRICS.snapshot()
         via_dispatch = sim.simulate_faults(faults)
         delta = METRICS.diff(before)
-        assert delta["counters"].get("faultsim.batched_faults") == len(faults)
+        assert delta["counters"].get("faultsim.batches") == len(
+            plan_batches(sim, faults, faultsim_batch.DEFAULT_BATCH)
+        )
         event = [sim.simulate_fault(f) for f in faults]
         assert_identical(event, via_dispatch)
-
-    def test_batch_disabled_env_uses_event_path(self, monkeypatch):
-        from repro.telemetry import METRICS
-
-        monkeypatch.setenv("REPRO_FAULT_BATCH", "0")
-        sim, faults = sampled_population("s27", 64, 20, seed=9)
-        before = METRICS.snapshot()
-        responses = sim.simulate_faults(faults)
-        delta = METRICS.diff(before)
-        assert "faultsim.batched_faults" not in delta["counters"]
-        assert_identical([sim.simulate_fault(f) for f in faults], responses)

@@ -1,5 +1,5 @@
-"""SoA level-schedule kernel: env resolution, structure invariants, and
-bit-identity against the per-gate oracle.
+"""SoA level-schedule kernel: structure invariants, caching, and
+bit-identity against the per-gate reference.
 
 The schedule is a pure reshuffling of the compiled ops list, so every
 test here pins the same contract: whatever the per-gate loop computes,
@@ -17,18 +17,14 @@ from repro.circuit.library import get_circuit
 from repro.circuit.netlist import GateType
 from repro.experiments import cache_disk
 from repro.experiments.cache import cache_stats, clear_caches
-from repro.sim import soa
-import importlib
-
-# repro.telemetry re-exports the log *function* under the submodule's
-# name, so attribute-style imports resolve to the function, not the module.
-telemetry_log = importlib.import_module("repro.telemetry.log")
+from repro.sim import faultsim_batch, soa
 from repro.sim.faults import collapse_faults
 from repro.sim.faultsim_batch import simulate_batch, simulate_faults_batched
 from repro.sim.logicsim import CompiledCircuit
-from repro.sim.soa import build_schedule, schedule_for, soa_enabled, structural_digest
+from repro.sim.soa import build_schedule, schedule_for, structural_digest
 from repro.soc.core_wrapper import EmbeddedCore
 
+from .pergate_reference import simulate_batch_pergate, simulate_pergate
 from .test_logicsim import GATE_BENCH
 
 
@@ -37,8 +33,8 @@ def assert_kernels_identical(compiled, num_patterns, seed=11):
     pi, ff = fast_pattern_matrices(
         compiled.num_inputs, compiled.num_scan_cells, num_patterns, seed=seed
     )
-    fast = compiled.simulate(pi, ff, num_patterns, soa=True)
-    slow = compiled.simulate(pi, ff, num_patterns, soa=False)
+    fast = compiled.simulate(pi, ff, num_patterns)
+    slow = simulate_pergate(compiled, pi, ff, num_patterns)
     np.testing.assert_array_equal(fast.values, slow.values)
     return fast
 
@@ -73,48 +69,6 @@ def sampled_population(name, num_patterns, count, seed):
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(faults), size=min(count, len(faults)), replace=False)
     return core.fault_simulator, [faults[i] for i in idx]
-
-
-class TestSoaEnabled:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOA", raising=False)
-        assert soa_enabled() is True
-
-    def test_empty_means_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOA", "  ")
-        assert soa_enabled() is True
-
-    def test_zero_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOA", "0")
-        assert soa_enabled() is False
-
-    def test_nonzero_enables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOA", "2")
-        assert soa_enabled() is True
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOA", "0")
-        assert soa_enabled(True) is True
-        monkeypatch.setenv("REPRO_SOA", "1")
-        assert soa_enabled(False) is False
-
-    def test_garbage_env_warns_once_and_keeps_default(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_LOG", "info")
-        monkeypatch.setenv("REPRO_SOA", "of")
-        monkeypatch.setattr(telemetry_log, "_WARNED_ENV", set())
-        assert soa_enabled() is True
-        err = capsys.readouterr().err
-        assert "REPRO_SOA" in err and "'of'" in err
-        # Second resolution of the same bad value stays silent.
-        assert soa_enabled() is True
-        assert capsys.readouterr().err == ""
-
-    def test_quiet_log_suppresses_warning(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_LOG", "quiet")
-        monkeypatch.setenv("REPRO_SOA", "yes")
-        monkeypatch.setattr(telemetry_log, "_WARNED_ENV", set())
-        assert soa_enabled() is True
-        assert capsys.readouterr().err == ""
 
 
 class TestScheduleStructure:
@@ -190,23 +144,16 @@ class TestGoodMachineIdentity:
         mask = pattern_mask(100)
         np.testing.assert_array_equal(result.values & mask, result.values)
 
-    def test_env_knob_selects_kernel(self, small_compiled, monkeypatch):
+    def test_simulate_counts_one_sim(self, small_compiled):
         from repro.telemetry import METRICS
 
         pi, ff = fast_pattern_matrices(
             small_compiled.num_inputs, small_compiled.num_scan_cells, 48, seed=2
         )
-        monkeypatch.setenv("REPRO_SOA", "0")
         before = METRICS.snapshot()
-        off = small_compiled.simulate(pi, ff, 48)
+        small_compiled.simulate(pi, ff, 48)
         delta = METRICS.diff(before)
-        assert delta["counters"].get("logicsim.sims{kernel=per-gate}") == 1
-        monkeypatch.setenv("REPRO_SOA", "1")
-        before = METRICS.snapshot()
-        on = small_compiled.simulate(pi, ff, 48)
-        delta = METRICS.diff(before)
-        assert delta["counters"].get("logicsim.sims{kernel=soa}") == 1
-        np.testing.assert_array_equal(off.values, on.values)
+        assert delta["counters"].get("logicsim.sims") == 1
 
 
 class TestGeneratedNetlists:
@@ -249,31 +196,19 @@ class TestBatchedIdentity:
         "name,patterns,count",
         [("s27", 100, 60), ("s953", 128, 80), ("s5378", 64, 40)],
     )
-    def test_soa_cone_matches_event_oracle(self, name, patterns, count):
+    def test_soa_cone_matches_event_oracle(self, name, patterns, count,
+                                           monkeypatch):
+        monkeypatch.setattr(faultsim_batch, "DEFAULT_BATCH", 16)
         sim, faults = sampled_population(name, patterns, count, seed=13)
         oracle = [sim.simulate_fault(f) for f in faults]
-        batched = simulate_faults_batched(sim, faults, 16, soa=True)
+        batched = simulate_faults_batched(sim, faults)
         assert_responses_identical(oracle, batched)
 
     def test_soa_batch_matches_per_gate_batch(self):
         sim, faults = sampled_population("s953", 128, 48, seed=19)
-        per_gate = simulate_batch(sim, faults, soa=False)
-        via_soa = simulate_batch(sim, faults, soa=True)
+        per_gate = simulate_batch_pergate(sim, faults)
+        via_soa = simulate_batch(sim, faults)
         assert_responses_identical(per_gate, via_soa)
-
-    def test_env_disable_selects_per_gate_cone(self, monkeypatch):
-        from repro.telemetry import METRICS
-
-        sim, faults = sampled_population("s27", 64, 12, seed=7)
-        monkeypatch.setenv("REPRO_SOA", "0")
-        before = METRICS.snapshot()
-        off = simulate_batch(sim, faults)
-        assert "faultsim.soa_batches" not in METRICS.diff(before)["counters"]
-        monkeypatch.setenv("REPRO_SOA", "1")
-        before = METRICS.snapshot()
-        on = simulate_batch(sim, faults)
-        assert METRICS.diff(before)["counters"].get("faultsim.soa_batches") == 1
-        assert_responses_identical(off, on)
 
 
 class TestScheduleCache:

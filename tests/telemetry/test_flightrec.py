@@ -253,7 +253,8 @@ class TestTreeAssembly:
     def test_records_for_trace_includes_parent_chain_descendants(self):
         head, member, records = _batch_records()
         rec = FlightRecorder(capacity=16)
-        rec.record_many(records)
+        for record in records:
+            rec.record(record)
         for trace_id in (head, member):
             names = sorted(r["name"] for r in rec.records_for_trace(trace_id))
             assert names == ["diagnose.batch_kernel", "service.batch",

@@ -87,13 +87,48 @@ class TestValidation:
         assert any("newer" in e for e in validate_manifest(manifest))
 
 
+#: The ``kernels`` record a v2/v3 manifest carried.
+V3_KERNELS = {"gate_eval": "soa", "fault_sim": "batched", "fault_batch": 64,
+              "diagnosis": "fused", "diagnosis_chunk": 256}
+
+
+class TestKernelsSchemaV4:
+    """v4 dropped the ``kernels`` record (one kernel per layer, nothing
+    to select); v2/v3 manifests still need theirs."""
+
+    def test_built_manifest_has_no_kernels_record(self):
+        manifest = build_manifest()
+        assert "kernels" not in manifest
+        assert validate_manifest(manifest) == []
+
+    def test_v3_manifest_with_kernels_validates(self):
+        manifest = build_manifest()
+        manifest["schema_version"] = 3
+        manifest["kernels"] = dict(V3_KERNELS)
+        assert validate_manifest(manifest) == []
+
+    def test_v3_manifest_missing_kernels_rejected(self):
+        manifest = build_manifest()
+        manifest["schema_version"] = 3
+        assert "kernels: missing" in validate_manifest(manifest)
+
+    def test_v3_kernels_mistyped_fields_rejected(self):
+        manifest = build_manifest()
+        manifest["schema_version"] = 3
+        manifest["kernels"] = {"gate_eval": 1}
+        errors = validate_manifest(manifest)
+        assert any("kernels.gate_eval" in e for e in errors)
+        assert "kernels.fault_sim: missing" in errors
+
+
 class TestProfileSchemaV3:
     """v3 added the required ``profile`` record; v2 manifests (written
     before the profiler existed) must keep validating without one."""
 
     def test_built_manifest_is_v3_with_profile(self):
         manifest = build_manifest()
-        assert manifest["schema_version"] == 3
+        # v4 keeps the v3 profile requirement.
+        assert manifest["schema_version"] == 4
         profile = manifest["profile"]
         assert isinstance(profile["enabled"], bool)
         assert isinstance(profile["samples"], int)
@@ -103,6 +138,7 @@ class TestProfileSchemaV3:
     def test_v2_manifest_without_profile_still_validates(self):
         manifest = build_manifest()
         manifest["schema_version"] = 2
+        manifest["kernels"] = dict(V3_KERNELS)
         del manifest["profile"]
         assert validate_manifest(manifest) == []
 

@@ -118,11 +118,10 @@ class TestLogBuckets:
         delta = reg.diff(before)["histograms"]["h"]
         assert delta["buckets"] == {str(bucket_index(1.0)): 1,
                                     str(bucket_index(300.0)): 1}
-        other = MetricsRegistry()
-        other.merge(before)
-        other.merge({"histograms": {"h": delta}})
-        assert other.snapshot()["histograms"]["h"] == \
-            reg.snapshot()["histograms"]["h"]
+        other = Histogram()
+        other.merge(before["histograms"]["h"])
+        other.merge(delta)
+        assert other.to_dict() == reg.snapshot()["histograms"]["h"]
 
 
 class TestSnapshotAlgebra:
@@ -136,25 +135,6 @@ class TestSnapshotAlgebra:
         delta = reg.diff(before)
         assert delta["counters"] == {"before": 1, "fresh": 2}
         assert delta["histograms"]["h"]["count"] == 1
-
-    def test_merge_of_diff_reconstructs_totals(self):
-        """Parent + child-delta == child having run in the parent."""
-        parent = MetricsRegistry()
-        parent.incr("faults", 5)
-        parent.observe("chunk", 2.0)
-        # The child inherits a copy, works, diffs.
-        child = MetricsRegistry()
-        child.merge(parent.snapshot())
-        inherited = child.snapshot()
-        child.incr("faults", 7)
-        child.observe("chunk", 4.0)
-        child.gauge("util", 0.5)
-        parent.merge(child.diff(inherited))
-        assert parent.counter("faults") == 12
-        snap = parent.snapshot()
-        assert snap["histograms"]["chunk"]["count"] == 2
-        assert snap["histograms"]["chunk"]["sum"] == 6.0
-        assert snap["gauges"]["util"] == 0.5
 
     def test_reset_clears_everything(self):
         reg = MetricsRegistry()

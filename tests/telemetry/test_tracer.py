@@ -197,6 +197,7 @@ class TestWireFormat:
         collected = FLIGHT.since(mark)
         assert [r["name"] for r in collected] == ["worker-stage"]
         adopter = FlightRecorder(capacity=8)
-        adopter.record_many(collected)
+        for record in collected:
+            adopter.record(record)
         (record,) = adopter.since()
         assert (record["trace_id"], record["parent_id"]) == parent

@@ -90,7 +90,7 @@ class TestExperiment:
         )
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert telemetry.validate_manifest(manifest) == []
-        assert manifest["schema_version"] == 3
+        assert manifest["schema_version"] == 4
         assert manifest["profile"]["enabled"] is True
         assert manifest["profile"]["samples"] > 0
         assert manifest["profile_file"] == "profile.folded"

@@ -28,7 +28,10 @@ from repro.experiments.runner import (
 )
 from repro.sim.bitops import WORD_BITS, pack_bits
 from repro.sim.faults import Fault
-from repro.sim.faultsim import FaultResponse
+from repro.sim.faultsim import FaultResponse, FaultSimulator
+from repro.sim.logicsim import CompiledCircuit
+
+from .sim.pergate_reference import simulate_faults_pergate, simulate_pergate
 
 TINY = ExperimentConfig(num_faults=10, num_faults_large=4, scale=0.1)
 
@@ -196,6 +199,11 @@ class TestWorkloadCache:
             assert a.actual_cells == b.actual_cells
 
 
+def per_fault_simulate_faults(self, faults):
+    """``FaultSimulator.simulate_faults`` as the event-driven loop."""
+    return [self.simulate_fault(fault) for fault in faults]
+
+
 class TestFaultBatchedEvaluation:
     """The fault-batched kernel (PR 4) is a pure optimization too: every
     end-to-end number must match the event-driven path exactly."""
@@ -207,14 +215,14 @@ class TestFaultBatchedEvaluation:
         clear_caches()
 
     def test_evaluate_scheme_batched_vs_event(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_BATCH", "0")
-        clear_caches()
-        event = evaluate_scheme(
+        batched = evaluate_scheme(
             build_circuit_workload("s953", TINY), "two-step", 3, 4, TINY
         )
-        monkeypatch.setenv("REPRO_FAULT_BATCH", "16")
+        monkeypatch.setattr(
+            FaultSimulator, "simulate_faults", per_fault_simulate_faults
+        )
         clear_caches()
-        batched = evaluate_scheme(
+        event = evaluate_scheme(
             build_circuit_workload("s953", TINY), "two-step", 3, 4, TINY
         )
         assert event.dr == batched.dr
@@ -234,14 +242,15 @@ class TestSoAEvaluation:
         clear_caches()
 
     def test_evaluate_scheme_soa_vs_pergate(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOA", "0")
-        clear_caches()
-        per_gate = evaluate_scheme(
+        via_soa = evaluate_scheme(
             build_circuit_workload("s953", TINY), "two-step", 3, 4, TINY
         )
-        monkeypatch.setenv("REPRO_SOA", "1")
+        monkeypatch.setattr(CompiledCircuit, "simulate", simulate_pergate)
+        monkeypatch.setattr(
+            FaultSimulator, "simulate_faults", simulate_faults_pergate
+        )
         clear_caches()
-        via_soa = evaluate_scheme(
+        per_gate = evaluate_scheme(
             build_circuit_workload("s953", TINY), "two-step", 3, 4, TINY
         )
         assert per_gate.dr == via_soa.dr
