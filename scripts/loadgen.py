@@ -181,12 +181,16 @@ def check_debug_plane(args: argparse.Namespace, client: ServiceClient,
                       trace_ids: List[str]) -> Dict[str, Any]:
     """Exercise the debug plane after a traced run.
 
-    Fetches the assembled span tree for sampled trace ids — via the
-    supervisor control port on a cluster (fleet-merged), the service
-    port otherwise — plus a 1-second profile burst, and records what
-    came back.  The CI observability job asserts on these fields.
+    Fetches the assembled span tree for sampled trace ids, a
+    ``/debug/requests?limit=5`` flight snapshot and a 1-second profile
+    burst — via the supervisor control port on a cluster (fleet-merged),
+    the service port otherwise — and records what came back.
+    ``requests_snapshots`` counts the flight snapshots that answered:
+    one per worker on a cluster.  The CI observability job asserts on
+    these fields.
     """
-    result: Dict[str, Any] = {"trace": None, "profile_stacks": 0}
+    result: Dict[str, Any] = {"trace": None, "profile_stacks": 0,
+                              "requests_snapshots": 0}
     tree: Optional[Dict[str, Any]] = None
     for trace_id in trace_ids[:5]:
         if args.workers > 1:
@@ -205,6 +209,13 @@ def check_debug_plane(args: argparse.Namespace, client: ServiceClient,
             "roots": len(tree.get("roots") or ()),
             "span_names": sorted(_span_names(tree.get("roots") or ())),
         }
+    if args.workers > 1:
+        bodies = control_get(args, "/debug/requests?limit=5")["workers"]
+        snapshots = list(bodies.values())
+    else:
+        snapshots = [client.debug_requests(limit=5)]
+    result["requests_snapshots"] = sum(
+        1 for snap in snapshots if isinstance(snap, dict) and "recent" in snap)
     if args.workers > 1:
         folded = get_text(args.host, args.control_port,
                           "/debug/profile?seconds=1")

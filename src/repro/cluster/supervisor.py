@@ -25,11 +25,13 @@ behind a single listen port and supervises them:
   the server does) with counters summed, histograms — request latency
   included — merged bucket-wise by :func:`~repro.telemetry.merge_snapshots`
   and per-worker ``up``/``restarts`` gauges, plus ``GET /healthz``
-  reflecting quorum.  Malformed requests get 400, methods other than GET
-  405, as on the server.
+  reflecting quorum.  Requests go through the server's own
+  :mod:`~repro.service.framing`, so errors are the server's
+  ``ServiceError`` payloads, plus 503 ``no_live_workers``.
 * **Debug plane proxy** — ``GET /debug/requests``, ``/debug/trace/<id>``
   and ``/debug/profile`` on the control port fan out as ``debug`` frames
-  to every READY worker; the HTTP connection parks until each worker's
+  carrying :func:`~repro.service.server.parse_debug`'s ``(op, args)`` to
+  every READY worker; the HTTP connection parks until each worker's
   ``debug_reply`` lands (or a deadline passes), then the bodies merge:
   flight snapshots keyed by slot, trace records pooled and re-assembled
   into one fleet-wide span tree, folded profiler stacks summed.
@@ -43,17 +45,19 @@ forking stays cheap and safe.
 from __future__ import annotations
 
 import json
-import math
 import os
 import selectors
 import signal
 import socket
 import time
 import traceback
+from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, unquote
 
-from ..service.server import REASONS, latency_summary, wants_prometheus
+from ..service import framing
+from ..service.protocol import ServiceError
+from ..service.server import (DEBUG_ROUTES, folded_body, latency_summary,
+                              parse_debug)
 from ..telemetry import (
     METRICS,
     PROMETHEUS_CONTENT_TYPE,
@@ -63,6 +67,9 @@ from ..telemetry import (
     render_prometheus,
 )
 from .control import ControlChannelError, FrameDecoder, encode_frame
+
+#: Control-port route -> the methods it answers.
+CONTROL_ROUTES = {"/healthz": ("GET",), "/metrics": ("GET",), **DEBUG_ROUTES}
 
 #: Worker slot lifecycle states.
 STARTING, READY, STOPPING, DOWN, BROKEN, EXITED = (
@@ -121,12 +128,16 @@ class WorkerSlot:
 class _HttpConn:
     """One in-flight control-port HTTP exchange (read → respond → close)."""
 
-    __slots__ = ("sock", "inbuf", "outbuf", "opened_at", "deadline")
+    __slots__ = ("sock", "inbuf", "outbuf", "answered", "opened_at",
+                 "deadline")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.inbuf = bytearray()
         self.outbuf = b""
+        #: The head is answered (or parked for a fan-out); later input is
+        #: dropped until the client's EOF or the deadline.
+        self.answered = False
         self.opened_at = time.monotonic()
         #: Sweep cutoff; a parked ``/debug`` fan-out pushes this out past
         #: the default 10s (a profile burst legitimately takes longer).
@@ -641,15 +652,12 @@ class ClusterSupervisor:
         if not data:
             self._close_conn(sock)
             return
-        state.inbuf.extend(data)
-        if b"\r\n\r\n" not in state.inbuf and b"\n\n" not in state.inbuf:
-            if len(state.inbuf) > 16384:
-                self._close_conn(sock)
+        if state.answered:
             return
-        response = self._respond(bytes(state.inbuf), state)
-        if response is None:
-            return  # parked: a /debug fan-out will complete it
-        self._complete_conn(state, response)
+        state.inbuf.extend(data)
+        response = self._respond(state)
+        if response is not None:
+            self._complete_conn(state, response)
 
     def _complete_conn(self, state: _HttpConn, response: bytes) -> None:
         """Attach a response to a conn and start flushing it."""
@@ -674,8 +682,18 @@ class ClusterSupervisor:
         except OSError:
             self._close_conn(state.sock)
             return
-        if not state.outbuf:
+        if state.outbuf:
+            return
+        try:
+            state.sock.shutdown(socket.SHUT_WR)
+            assert self._selector is not None
+            self._selector.modify(state.sock, selectors.EVENT_READ,
+                                  ("http", None))
+        except (KeyError, ValueError, OSError):
             self._close_conn(state.sock)
+            return
+        state.deadline = min(state.deadline,
+                             time.monotonic() + framing.LINGER_S)
 
     def _close_conn(self, sock: socket.socket) -> None:
         self._conns.pop(sock, None)
@@ -694,83 +712,54 @@ class ClusterSupervisor:
             if now > state.deadline:
                 self._close_conn(sock)
 
-    def _respond(self, raw: bytes,
-                 state: Optional[_HttpConn] = None) -> Optional[bytes]:
-        """Route one control-port request; ``None`` parks the connection
-        (a ``/debug`` fan-out completes it from :meth:`_finish_fanout`)."""
-        lines = raw.decode("latin-1").splitlines()
-        parts = lines[0].split() if lines else []
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
-            return self._http_response(
-                400, {"error": "malformed request line"})
-        method, target = parts[0].upper(), parts[1]
-        if method != "GET":
-            return self._http_response(405, {"error": "use GET"})
-        headers: Dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                break
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        path, _, query = target.partition("?")
-        if path.startswith("/debug/") and state is not None:
-            return self._start_debug_fanout(state, path, query)
-        if path == "/healthz":
-            payload, healthy = self.health_payload()
-            return self._http_response(200 if healthy else 503, payload)
-        if path == "/metrics":
-            if wants_prometheus(query, headers):
-                body = self.prometheus_body()
-                return self._http_response(
-                    200, body, content_type=PROMETHEUS_CONTENT_TYPE)
-            return self._http_response(200, self.metrics_payload())
-        return self._http_response(404, {"error": f"no route for {path}"})
+    def _respond(self, state: _HttpConn) -> Optional[bytes]:
+        """The reply to the request head in ``state.inbuf``; ``None``
+        while the head is incomplete, or once a ``/debug`` fan-out has
+        parked the connection (:meth:`_finish_fanout` completes it)."""
+        try:
+            head = framing.parse_head(state.inbuf)
+            if head is None:
+                return None
+            state.answered = True
+            route = framing.match_route(CONTROL_ROUTES, head.method,
+                                        head.path)
+            if route == "/healthz":
+                payload, healthy = self.health_payload()
+                return self._json_response(200 if healthy else 503, payload)
+            if route == "/metrics":
+                if framing.wants_prometheus(head.query, head.headers):
+                    return framing.render_response(
+                        200, self.prometheus_body(), PROMETHEUS_CONTENT_TYPE,
+                        close=True)
+                return self._json_response(200, self.metrics_payload())
+            op, args = parse_debug(head.path, head.query)
+            self._start_debug_fanout(state, op, args)
+            return None
+        except ServiceError as exc:
+            state.answered = True
+            return self._json_response(exc.status, exc.to_payload())
+
+    @staticmethod
+    def _json_response(status: int, payload: Any) -> bytes:
+        return framing.render_response(
+            status, json.dumps(payload).encode("utf-8"), "application/json",
+            close=True)
 
     # -- debug fan-out -------------------------------------------------------
 
-    def _start_debug_fanout(self, state: _HttpConn, path: str,
-                            query: str) -> Optional[bytes]:
-        """Forward a ``/debug/*`` request to every READY worker.
-
-        Returns response bytes for immediate errors, or ``None`` after
-        parking ``state`` — :meth:`_finish_fanout` completes it once all
+    def _start_debug_fanout(self, state: _HttpConn, op: str,
+                            args: Dict[str, Any]) -> None:
+        """Forward one parsed ``/debug/*`` request to every READY worker
+        and park ``state`` — :meth:`_finish_fanout` completes it once all
         replies land (or :meth:`_expire_fanouts` gives up at deadline).
+        Raises ``no_live_workers`` when no worker took the frame.
         """
-        params = {name: values[0] for name, values in parse_qs(query).items()}
-        grace = 5.0
-        try:
-            if path == "/debug/requests":
-                op = "requests"
-                frame: Dict[str, Any] = {
-                    "op": op, "limit": int(params.get("limit", 50))}
-            elif path.startswith("/debug/trace/"):
-                op = "trace"
-                trace_id = unquote(path[len("/debug/trace/"):]).strip()
-                if not trace_id:
-                    return self._http_response(
-                        400, {"error": "usage: GET /debug/trace/<trace_id>"})
-                frame = {"op": op, "trace_id": trace_id}
-            elif path == "/debug/profile":
-                op = "profile"
-                seconds = float(params.get("seconds", 1.0))
-                if math.isnan(seconds):
-                    raise ValueError("seconds is NaN")
-                seconds = min(max(seconds, 0.05), 30.0)
-                frame = {"op": op, "seconds": seconds}
-                if "hz" in params:
-                    frame["hz"] = int(params["hz"])
-                grace = seconds + 10.0
-            else:
-                return self._http_response(
-                    404, {"error": f"no route for {path}"})
-        except ValueError:
-            return self._http_response(
-                400, {"error": "debug parameters must be numeric"})
+        grace = args["seconds"] + 10.0 if op == "profile" else 5.0
         self._debug_seq += 1
-        frame = {"type": "debug", "id": self._debug_seq, **frame}
         now = time.monotonic()
         fan = _DebugFanout(op, state, now + grace)
-        wire = encode_frame(frame)
+        wire = encode_frame({"type": "debug", "id": self._debug_seq,
+                             "op": op, "args": args})
         for slot in self.slots:
             if slot.state != READY or slot.sock is None:
                 continue
@@ -780,10 +769,10 @@ class ClusterSupervisor:
                 continue  # dead channel; reaping will handle the worker
             fan.waiting.add(slot.index)
         if not fan.waiting:
-            return self._http_response(503, {"error": "no live workers"})
+            raise ServiceError("no_live_workers",
+                               "no live worker to answer the debug request")
         self._debug_pending[self._debug_seq] = fan
         state.deadline = now + grace + 2.0  # outlive the fan-out deadline
-        return None
 
     def _on_debug_reply(self, slot: WorkerSlot, message: Dict[str, Any]) -> None:
         fan = self._debug_pending.get(message.get("id"))
@@ -808,54 +797,29 @@ class ClusterSupervisor:
             if isinstance(body, dict)
         }
         if fan.op == "profile":
-            # Folded stacks merge by summing counts per stack.
-            merged: Dict[str, int] = {}
+            # Profiles merge by summing samples per stack.
+            merged: Counter = Counter()
             for body in replies.values():
-                for line in body.get("folded", ()):
-                    stack, _, count = str(line).rpartition(" ")
-                    try:
-                        merged[stack] = merged.get(stack, 0) + int(count)
-                    except ValueError:
-                        continue
-            text = "".join(f"{stack} {count}\n"
-                           for stack, count in sorted(merged.items()))
-            response = self._http_response(
-                200, text.encode("utf-8"), content_type="text/plain; charset=utf-8")
+                merged.update(body.get("folded") or {})
+            response = framing.render_response(
+                200, *folded_body(merged), close=True)
         elif fan.op == "trace":
-            # Pool every worker's raw records, then assemble one tree.
-            trace_id = ""
-            pooled: List[Dict[str, Any]] = []
-            seen: set = set()
-            for body in replies.values():
-                trace_id = body.get("trace_id") or trace_id
-                for record in body.get("records", ()):
-                    span_id = record.get("span_id")
-                    if span_id in seen:
-                        continue
-                    seen.add(span_id)
-                    pooled.append(record)
-            tree = assemble_tree(pooled, trace_id)
+            # Pool every worker's raw records, one per span, then
+            # assemble one tree.
+            pooled = {record.get("span_id"): record
+                      for body in replies.values()
+                      for record in body.get("records", ())}
+            trace_id = next((body["trace_id"] for body in replies.values()
+                             if body.get("trace_id")), "")
+            tree = assemble_tree(list(pooled.values()), trace_id)
             tree["workers"] = sorted(replies)
-            response = self._http_response(200, tree)
+            response = self._json_response(200, tree)
         else:
-            response = self._http_response(200, {
+            response = self._json_response(200, {
                 "workers": {str(index): body
                             for index, body in sorted(replies.items())},
             })
         self._complete_conn(fan.conn, response)
-
-    @staticmethod
-    def _http_response(status: int, payload: Any,
-                       content_type: str = "application/json") -> bytes:
-        body = (payload if isinstance(payload, bytes)
-                else json.dumps(payload).encode("utf-8"))
-        head = (
-            f"HTTP/1.1 {status} {REASONS.get(status, 'OK')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "Connection: close\r\n\r\n"
-        )
-        return head.encode("latin-1") + body
 
     # -- aggregation ---------------------------------------------------------
 

@@ -12,9 +12,9 @@ control socket every ``heartbeat_s``.
 
 The control socket is read as well as written: the supervisor forwards
 ``GET /debug/*`` requests from its control port as ``debug`` frames
-(``op`` = ``requests`` / ``trace`` / ``profile``), and the worker answers
-with a ``debug_reply`` carrying its flight-recorder snapshot, the raw
-span records for a trace id, or a profiler burst's folded stacks — the
+carrying :func:`~repro.service.server.parse_debug`'s ``(op, args)``, and
+the worker answers with a ``debug_reply`` carrying what
+:meth:`~repro.service.server.DiagnosisServer.debug` returned — the
 supervisor merges the per-worker bodies into one fleet-wide answer.
 
 Lifecycle:
@@ -160,26 +160,11 @@ async def _run_worker(
         burst sleeps for seconds and must not stall the control reader)."""
         op = message.get("op")
         try:
-            if op == "requests":
-                body = server._debug_requests_payload(
-                    f"limit={int(message.get('limit') or 50)}")
-            elif op == "trace":
-                body = server._debug_trace_payload(
-                    str(message.get("trace_id") or ""))
-            elif op == "profile":
-                seconds = min(max(float(message.get("seconds") or 1.0),
-                                  0.05), 30.0)
-                hz = message.get("hz")
-                folded = await loop.run_in_executor(
-                    None, server._profile_burst, seconds,
-                    int(hz) if hz else None)
-                body = {"folded": folded}
-            else:
-                body = {"error": f"unknown debug op {op!r}"}
+            body = await server.debug(op, message.get("args") or {})
         except ServiceError as exc:
-            body = {"error": exc.message, "code": exc.code}
+            body = exc.to_payload()
         except Exception as exc:  # noqa: BLE001 - debug must not kill serving
-            body = {"error": repr(exc)}
+            body = ServiceError("internal_error", repr(exc)).to_payload()
         await send({"type": "debug_reply", "id": message.get("id"),
                     "op": op, "body": body})
 

@@ -12,6 +12,8 @@ Layering (each module only imports the ones above it):
 * :mod:`~repro.service.protocol` — wire format, error taxonomy
 * :mod:`~repro.service.engine` — cache-pinned batch execution
 * :mod:`~repro.service.batching` — bounded queue, dynamic batching
+* :mod:`~repro.service.framing` — HTTP/1.1 head parsing and rendering
+  (shared with the cluster control port)
 * :mod:`~repro.service.server` — asyncio HTTP server, drain, ``repro serve``
 * :mod:`~repro.service.client` — stdlib client library
 """

@@ -67,8 +67,8 @@ class ServiceClient:
                  raw: bool = False) -> tuple:
         """(status, decoded JSON payload); retries once on a stale socket.
 
-        ``raw=True`` skips JSON decoding and returns the body bytes
-        (``/debug/profile`` answers ``text/plain``).
+        ``raw=True`` returns a successful reply's body bytes undecoded
+        (``/debug/profile`` answers ``text/plain``); errors are JSON.
         """
         payload = json.dumps(body).encode("utf-8") if body is not None else None
         headers = {"Content-Type": "application/json"} if payload else {}
@@ -88,7 +88,7 @@ class ServiceClient:
                 self.close()
                 if attempt:
                     raise TransportError(f"{method} {path}: {exc}") from exc
-        if raw:
+        if raw and response.status < 400:
             return response.status, data
         try:
             decoded = json.loads(data.decode("utf-8")) if data else {}
@@ -178,11 +178,7 @@ class ServiceClient:
             path += f"&hz={hz}"
         status, data = self._request("GET", path, raw=True)
         if status >= 400:
-            try:
-                payload = json.loads(data.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                payload = {}
-            self._raise_for_error(status, payload)
+            self._raise_for_error(status, data)
         return data.decode("utf-8")
 
     def wait_ready(self, timeout_s: float = 30.0, interval_s: float = 0.05) -> None:

@@ -43,6 +43,7 @@ ERROR_STATUS: Dict[str, int] = {
     "queue_full": 429,          # admission control rejected (Retry-After set)
     "internal_error": 500,      # unexpected server-side failure
     "shutting_down": 503,       # server is draining (SIGTERM received)
+    "no_live_workers": 503,     # cluster control port: no worker to ask
     "deadline_exceeded": 504,   # request timed out in queue or in flight
 }
 

@@ -1,11 +1,11 @@
 """Asyncio HTTP diagnosis server: batching, admission control, drain.
 
-Zero dependencies beyond the stdlib: the HTTP/1.1 layer is a small
-hand-rolled parser over ``asyncio`` streams (no ``http.server``, which is
-thread-per-connection and has no backpressure story).  The event loop only
-parses, routes and queues; all diagnosis work runs in a thread-pool
-executor so a long batch never stalls accepts, health checks or metric
-scrapes.
+Zero dependencies beyond the stdlib: ``asyncio`` streams (no
+``http.server``, which is thread-per-connection and has no backpressure
+story) around :mod:`repro.service.framing`, the HTTP/1.1 parser and
+renderer the cluster control port shares.  The event loop only parses,
+routes and queues; all diagnosis work runs in a thread-pool executor so
+a long batch never stalls accepts, health checks or metric scrapes.
 
 Request lifecycle (see docs/architecture.md, "Serving")::
 
@@ -35,8 +35,10 @@ Endpoints:
 * ``GET /debug/trace/<trace_id>`` — the assembled span tree for one
   trace (request -> batch -> kernel), plus the raw records so a
   cluster supervisor can pool workers' records and re-assemble.
-* ``GET /debug/profile?seconds=N`` — on-demand sampling-profiler burst;
-  returns collapsed stacks as ``text/plain`` (flamegraph.pl input).
+* ``GET /debug/profile?seconds=N&hz=R`` — on-demand sampling-profiler
+  burst; returns collapsed stacks as ``text/plain`` (flamegraph.pl input).
+  :func:`parse_debug` clamps these three routes' parameters, here and on
+  the cluster control port.
 
 Every request runs under a trace context: the client's ``traceparent``
 header is honoured when valid, otherwise the server mints ids; the reply
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import functools
 import json
 import math
@@ -82,22 +85,18 @@ from ..telemetry import (
     span,
 )
 from ..telemetry.metrics import summary
+from . import framing
 from .batching import BatchQueue, PendingRequest
 from .engine import DiagnosisEngine
 from .protocol import DiagnoseReply, DiagnoseRequest, ServiceError
 
 DEFAULT_PORT = 8953
-MAX_HEADER_BYTES = 16 * 1024
-MAX_BODY_BYTES = 8 * 1024 * 1024
 
-#: Reason phrases for every status the server and the cluster control
-#: port answer with.
-REASONS = {
-    200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 429: "Too Many Requests",
-    500: "Internal Server Error", 503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
+#: Route -> the methods it answers; the control port serves DEBUG_ROUTES.
+DEBUG_ROUTES = {"/debug/requests": ("GET",), "/debug/trace/": ("GET",),
+                "/debug/profile": ("GET",)}
+ROUTES = {"/diagnose": ("POST",), "/healthz": ("GET",), "/metrics": ("GET",),
+          "/debug/flightrec": ("GET", "POST"), **DEBUG_ROUTES}
 
 #: Registry histogram every request stage is observed into, labelled
 #: ``stage``: whole request, queue wait, and the batch's execution.
@@ -116,23 +115,43 @@ def latency_summary(snapshot: Dict[str, Any]) -> Dict[str, Dict[str, float]]:
     }
 
 
-def wants_prometheus(query: str, headers: Dict[str, str]) -> bool:
-    """Content negotiation for ``GET /metrics``.
-
-    ``?format=prometheus`` (or ``?format=json``) wins outright;
-    otherwise an ``Accept`` header naming ``text/plain`` (what
-    Prometheus scrapers send) selects the text exposition.  Everything
-    else — including unknown formats — keeps the JSON default, so
-    existing consumers can never be broken by a typo.  ``headers`` keys
-    are lower-case.
+def parse_debug(path: str, query: str) -> Tuple[str, Dict[str, Any]]:
+    """The debug-plane operation a ``/debug/*`` URL names and its
+    arguments for :meth:`DiagnosisServer.debug`: ``limit`` clamped to
+    [1, 1000], ``seconds`` to [0.05, 30], ``hz`` to at most 1000 (0 keeps
+    the profiler's default).  Raises ``invalid_argument`` on bad values
+    and ``no_such_route`` on any other path.
     """
-    fmt = (parse_qs(query).get("format") or [""])[0].strip().lower()
-    if fmt == "prometheus":
-        return True
-    if fmt:
-        return False
-    accept = headers.get("accept", "").lower()
-    return "text/plain" in accept and "application/json" not in accept
+    params = {name: values[0] for name, values in parse_qs(query).items()}
+    if path.startswith("/debug/trace/"):
+        trace_id = unquote(path[len("/debug/trace/"):]).strip().lower()
+        if not trace_id:
+            raise ServiceError("invalid_argument",
+                               "usage: GET /debug/trace/<trace_id>")
+        return "trace", {"trace_id": trace_id}
+    try:
+        if path == "/debug/requests":
+            limit = int(params.get("limit", 50))
+            return "requests", {"limit": min(max(limit, 1), 1000)}
+        if path == "/debug/profile":
+            seconds = float(params.get("seconds", 1.0))
+            hz = int(params.get("hz", 0))
+            if not math.isfinite(seconds):
+                raise ValueError(seconds)
+            return "profile", {"seconds": min(max(seconds, 0.05), 30.0),
+                               "hz": min(max(hz, 0), 1000) or None}
+    except ValueError:
+        raise ServiceError("invalid_argument",
+                           f"{path} parameters must be finite numbers")
+    raise ServiceError("no_such_route", f"no route for {path}")
+
+
+def folded_body(samples: Dict[str, int]) -> Tuple[bytes, str]:
+    """Profiler samples as collapsed-stack ``text/plain`` (flamegraph.pl
+    input): one ``stack count`` line per stack, sorted by stack."""
+    text = "".join(f"{stack} {count}\n"
+                   for stack, count in sorted(samples.items()))
+    return text.encode("utf-8"), "text/plain; charset=utf-8"
 
 
 def _env_int(name: str, default: int) -> int:
@@ -168,12 +187,20 @@ def process_rss_bytes() -> Optional[int]:
         return None
 
 
+async def _discard_input(reader: asyncio.StreamReader,
+                         writer: asyncio.StreamWriter) -> None:
+    """Half-close, then drop input until the client's EOF or LINGER_S."""
+    async def drain() -> None:
+        while await reader.read(65536):
+            pass
+
+    with contextlib.suppress(asyncio.TimeoutError, OSError):
+        writer.write_eof()
+        await asyncio.wait_for(drain(), framing.LINGER_S)
+
+
 #: Response body: a JSON-able dict, or pre-rendered ``(bytes, content_type)``.
 _Body = Union[Dict[str, Any], Tuple[bytes, str]]
-
-
-class _BadHttp(Exception):
-    """Unparseable request framing — respond 400 and close."""
 
 
 class DiagnosisServer:
@@ -245,11 +272,13 @@ class DiagnosisServer:
         """
         if self.sock is not None:
             self._server = await asyncio.start_server(
-                self._serve_connection, sock=self.sock
+                self._serve_connection, sock=self.sock,
+                limit=framing.MAX_HEADER_BYTES,
             )
         else:
             self._server = await asyncio.start_server(
-                self._serve_connection, self.host, self.port
+                self._serve_connection, self.host, self.port,
+                limit=framing.MAX_HEADER_BYTES,
             )
         self.port = self._server.sockets[0].getsockname()[1]
         for _ in range(self.dispatchers):
@@ -363,20 +392,19 @@ class DiagnosisServer:
         try:
             while True:
                 try:
-                    parsed = await self._read_request(reader)
-                except _BadHttp as exc:
-                    error = ServiceError("malformed_payload", str(exc))
+                    request = await self._read_request(reader)
+                except ServiceError as exc:
                     await self._write_response(
-                        writer, error.status, error.to_payload(), close=True)
+                        writer, exc.status, exc.to_payload(), close=True)
+                    await _discard_input(reader, writer)
                     break
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break
-                if parsed is None:
+                if request is None:
                     break  # clean EOF between requests
-                method, path, query, headers, body = parsed
-                status, payload, extra = await self._route(
-                    method, path, query, headers, body)
-                keep_alive = headers.get("connection", "keep-alive") != "close"
+                head, body = request
+                status, payload, extra = await self._route(head, body)
+                keep_alive = head.keep_alive
                 await self._write_response(
                     writer, status, payload, extra_headers=extra,
                     close=not keep_alive)
@@ -393,38 +421,27 @@ class DiagnosisServer:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, str, Dict[str, str], bytes]]:
-        request_line = await reader.readline()
-        if not request_line:
-            return None
-        parts = request_line.decode("latin-1").strip().split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
-            raise _BadHttp("malformed request line")
-        method, target = parts[0].upper(), parts[1]
-        headers: Dict[str, str] = {}
-        total = len(request_line)
-        while True:
-            line = await reader.readline()
-            total += len(line)
-            if total > MAX_HEADER_BYTES:
-                raise _BadHttp("headers too large")
+    ) -> Optional[Tuple[framing.RequestHead, bytes]]:
+        """One request off the stream; None on a clean EOF before it.
+        Framing errors raise ``malformed_payload``."""
+        raw = b""
+        while len(raw) <= framing.MAX_HEADER_BYTES:
+            try:
+                line = await reader.readline()
+            except ValueError:  # one line past the stream's limit
+                raise framing.malformed("headers too large")
+            if not line:
+                if raw:
+                    raise framing.malformed("truncated headers")
+                return None
+            raw += line
             if line in (b"\r\n", b"\n"):
                 break
-            if not line:
-                raise _BadHttp("truncated headers")
-            name, sep, value = line.decode("latin-1").partition(":")
-            if not sep:
-                raise _BadHttp("malformed header")
-            headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
-            raise _BadHttp("bad Content-Length")
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise _BadHttp("body too large")
-        body = await reader.readexactly(length) if length else b""
-        path, _, query = target.partition("?")
-        return method, path, query, headers, body
+        head = framing.parse_head(raw)
+        assert head is not None  # the loop stopped at the blank line
+        body = (await reader.readexactly(head.content_length)
+                if head.content_length else b"")
+        return head, body
 
     async def _write_response(
         self, writer: asyncio.StreamWriter, status: int, payload: _Body,
@@ -435,64 +452,36 @@ class DiagnosisServer:
         else:
             body = json.dumps(payload).encode("utf-8")
             content_type = "application/json"
-        lines = [
-            f"HTTP/1.1 {status} {REASONS.get(status, 'OK')}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            f"Connection: {'close' if close else 'keep-alive'}",
-        ]
-        for name, value in (extra_headers or {}).items():
-            lines.append(f"{name}: {value}")
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
+        writer.write(framing.render_response(
+            status, body, content_type, close, extra_headers))
         await writer.drain()
 
     # -- routing -------------------------------------------------------------
 
     async def _route(
-        self, method: str, path: str, query: str, headers: Dict[str, str],
-        body: bytes,
+        self, head: framing.RequestHead, body: bytes,
     ) -> Tuple[int, _Body, Optional[Dict[str, str]]]:
         try:
-            if path == "/diagnose":
-                if method != "POST":
-                    raise ServiceError("method_not_allowed", "use POST /diagnose")
-                reply = await self._handle_diagnose(body, headers)
+            route = framing.match_route(ROUTES, head.method, head.path)
+            if route == "/diagnose":
+                reply = await self._handle_diagnose(body, head.headers)
                 self._count("ok")
                 return 200, reply.to_payload(), None
-            if path == "/healthz":
-                if method != "GET":
-                    raise ServiceError("method_not_allowed", "use GET /healthz")
+            if route == "/healthz":
                 payload = self._health_payload()
                 return (503 if self._draining else 200), payload, None
-            if path == "/metrics":
-                if method != "GET":
-                    raise ServiceError("method_not_allowed", "use GET /metrics")
-                if wants_prometheus(query, headers):
+            if route == "/metrics":
+                if framing.wants_prometheus(head.query, head.headers):
                     return 200, self._prometheus_body(), None
                 return 200, self._metrics_payload(), None
-            if path == "/debug/requests":
-                if method != "GET":
-                    raise ServiceError("method_not_allowed",
-                                       "use GET /debug/requests")
-                return 200, self._debug_requests_payload(query), None
-            if path.startswith("/debug/trace/"):
-                if method != "GET":
-                    raise ServiceError("method_not_allowed",
-                                       "use GET /debug/trace/<trace_id>")
-                trace_id = unquote(path[len("/debug/trace/"):])
-                return 200, self._debug_trace_payload(trace_id), None
-            if path == "/debug/profile":
-                if method != "GET":
-                    raise ServiceError("method_not_allowed",
-                                       "use GET /debug/profile")
-                return 200, await self._handle_debug_profile(query), None
-            if path == "/debug/flightrec":
-                if method not in ("GET", "POST"):
-                    raise ServiceError("method_not_allowed",
-                                       "use GET or POST /debug/flightrec")
+            if route == "/debug/flightrec":
                 return 200, self._debug_flightrec_payload(
-                    body if method == "POST" else None), None
-            raise ServiceError("no_such_route", f"no route for {path}")
+                    body if head.method == "POST" else None), None
+            op, args = parse_debug(head.path, head.query)
+            payload = await self.debug(op, args)
+            if op == "profile":
+                return 200, folded_body(payload["folded"]), None
+            return 200, payload, None
         except ServiceError as exc:
             self._count(exc.code)
             extra = None
@@ -632,27 +621,30 @@ class DiagnosisServer:
 
     # -- debug plane ---------------------------------------------------------
 
-    def _debug_requests_payload(self, query: str) -> Dict[str, Any]:
-        try:
-            limit = int((parse_qs(query).get("limit") or ["50"])[0])
-        except ValueError:
-            raise ServiceError("invalid_argument", "limit must be an integer")
-        snap = FLIGHT.snapshot(limit=max(1, min(limit, 1000)))
-        snap["pid"] = os.getpid()
-        snap["draining"] = self._draining
-        return snap
-
-    def _debug_trace_payload(self, trace_id: str) -> Dict[str, Any]:
-        trace_id = trace_id.strip().lower()
-        if not trace_id:
-            raise ServiceError("invalid_argument",
-                               "usage: GET /debug/trace/<trace_id>")
-        records = FLIGHT.records_for_trace(trace_id)
-        tree = assemble_tree(records, trace_id)
-        # Raw records ride along so a cluster supervisor can pool every
-        # worker's records and re-assemble one fleet-wide tree.
-        tree["records"] = records
-        return tree
+    async def debug(self, op: str, args: Dict[str, Any]) -> Dict[str, Any]:
+        """Answer one :func:`parse_debug` operation (a ``/debug`` route
+        or a cluster worker's ``debug`` frame): the flight-recorder
+        snapshot, a trace's span tree plus its raw records, or a profiler
+        burst's folded stacks."""
+        if op == "requests":
+            snap = FLIGHT.snapshot(limit=args["limit"])
+            snap["pid"] = os.getpid()
+            snap["draining"] = self._draining
+            return snap
+        if op == "trace":
+            records = FLIGHT.records_for_trace(args["trace_id"])
+            # Raw records ride along so a cluster supervisor can pool
+            # every worker's records and re-assemble one fleet-wide tree.
+            return {**assemble_tree(records, args["trace_id"]),
+                    "records": records}
+        if op == "profile":
+            # The *default* executor, never self._executor: a burst must
+            # not occupy a dispatcher thread for `seconds` of batch
+            # capacity.
+            samples = await asyncio.get_event_loop().run_in_executor(
+                None, self._profile_burst, args["seconds"], args["hz"])
+            return {"folded": samples}
+        raise ServiceError("no_such_route", f"no debug operation {op!r}")
 
     def _debug_flightrec_payload(
         self, body: Optional[bytes],
@@ -684,27 +676,9 @@ class DiagnosisServer:
             "pid": os.getpid(),
         }
 
-    async def _handle_debug_profile(self, query: str) -> Tuple[bytes, str]:
-        params = parse_qs(query)
-        try:
-            seconds = float((params.get("seconds") or ["1"])[0])
-            hz = int((params.get("hz") or ["0"])[0])
-        except ValueError:
-            raise ServiceError("invalid_argument",
-                               "seconds and hz must be numeric")
-        if not math.isfinite(seconds):
-            raise ServiceError("invalid_argument", "seconds must be finite")
-        seconds = min(max(seconds, 0.05), 30.0)
-        loop = asyncio.get_event_loop()
-        # The *default* executor, never self._executor: a burst must not
-        # occupy a dispatcher thread for `seconds` of batch capacity.
-        folded = await loop.run_in_executor(
-            None, self._profile_burst, seconds, hz or None)
-        body = "\n".join(folded) + ("\n" if folded else "")
-        return body.encode("utf-8"), "text/plain; charset=utf-8"
-
-    def _profile_burst(self, seconds: float, hz: Optional[int]) -> List[str]:
-        """Run a private sampling-profiler burst and return folded stacks.
+    def _profile_burst(self, seconds: float,
+                       hz: Optional[int]) -> Dict[str, int]:
+        """Run a private sampling-profiler burst; samples per stack.
 
         Private instance (the global :data:`PROFILER` may be serving the
         pipeline); the lock serializes concurrent bursts — the second
@@ -721,7 +695,7 @@ class DiagnosisServer:
                 time.sleep(seconds)
             finally:
                 profiler.stop()
-            return profiler.data.folded_lines()
+            return dict(profiler.data.samples)
         finally:
             self._profile_lock.release()
 

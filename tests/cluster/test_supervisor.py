@@ -8,6 +8,7 @@ with signal installation off, driven through ``request_drain()`` /
 
 import json
 import os
+import re
 import signal
 import socket
 import threading
@@ -17,6 +18,9 @@ import pytest
 
 from repro.cluster import BROKEN, READY, ClusterSupervisor
 from repro.cluster.control import FrameDecoder, send_message
+from repro.service.client import ServiceClient
+from repro.service.protocol import ServiceError
+from repro.service.server import ThreadedServer
 from repro.telemetry import METRICS, Histogram
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
@@ -79,7 +83,7 @@ def echo_trace_entry(index, control_sock):
     def reply(sock, message):
         send_message(sock, {
             "type": "debug_reply", "id": message["id"], "op": message["op"],
-            "body": {"trace_id": message.get("trace_id"), "records": []},
+            "body": {"trace_id": message["args"]["trace_id"], "records": []},
         })
 
     return obedient_entry(index, control_sock, on_frame=reply)
@@ -88,6 +92,15 @@ def echo_trace_entry(index, control_sock):
 def crashy_entry(index, control_sock):
     """Dies immediately — the crash-loop case."""
     return 3
+
+
+def silent_entry(index, control_sock):
+    """Never reports ready (a worker stuck prewarming); exits on SIGTERM."""
+    stop = []
+    signal.signal(signal.SIGTERM, lambda *_: stop.append(1))
+    while not stop:
+        time.sleep(0.02)
+    return 0
 
 
 def wait_until(predicate, timeout=15.0, interval=0.02):
@@ -114,6 +127,27 @@ def http_get(port, path, method="GET", headers=(), request_line=None):
             data += chunk
     head, _, body = data.partition(b"\r\n\r\n")
     return int(head.split(b" ")[1]), body
+
+
+def exchange(port, data, timeout=5.0):
+    """Send raw request bytes; the first response's head and body."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        try:
+            sock.sendall(data)
+        except OSError:
+            pass  # the endpoint may answer before reading it all
+        received = b""
+        while b"\r\n\r\n" not in received:
+            chunk = sock.recv(65536)
+            assert chunk, f"closed without a reply: {received[:200]!r}"
+            received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+        while len(body) < length:
+            chunk = sock.recv(65536)
+            assert chunk, "closed mid-body"
+            body += chunk
+    return head, body
 
 
 @pytest.fixture
@@ -206,37 +240,100 @@ class TestFleetHealth:
         assert status == 404
 
 
+def _get(target, *headers):
+    return "\r\n".join([f"GET {target} HTTP/1.1", "Host: t", *headers,
+                         "", ""]).encode()
+
+
+#: (case id, raw request, status, error code): the framing and routing
+#: contract the diagnosis server and the control port share.
+WIRE_CASES = [
+    ("request-line-garbage", b"GARBAGE\r\n\r\n", 400, "malformed_payload"),
+    ("request-line-no-version", b"GET /healthz\r\n\r\n", 400,
+     "malformed_payload"),
+    ("request-line-bad-version", b"GET /healthz SPDY/3\r\n\r\n", 400,
+     "malformed_payload"),
+    ("header-without-colon", _get("/healthz", "Bogus header"), 400,
+     "malformed_payload"),
+    ("head-over-limit", _get("/healthz", "X-Pad: " + "a" * 20_000), 400,
+     "malformed_payload"),
+    ("header-line-over-64k", _get("/healthz", "X-Pad: " + "a" * 70_000), 400,
+     "malformed_payload"),
+    ("bad-content-length", _get("/healthz", "Content-Length: many"), 400,
+     "malformed_payload"),
+    ("transfer-encoding", _get("/healthz", "Transfer-Encoding: chunked"),
+     400, "malformed_payload"),
+    ("unknown-route", _get("/nope"), 404, "no_such_route"),
+    ("post-metrics", b"POST /metrics HTTP/1.1\r\nHost: t\r\n\r\n", 405,
+     "method_not_allowed"),
+    ("delete-metrics", b"DELETE /metrics HTTP/1.1\r\nHost: t\r\n\r\n", 405,
+     "method_not_allowed"),
+    ("debug-limit-not-int", _get("/debug/requests?limit=many"), 400,
+     "invalid_argument"),
+    ("debug-seconds-not-number", _get("/debug/profile?seconds=soon"), 400,
+     "invalid_argument"),
+    ("debug-seconds-nan", _get("/debug/profile?seconds=nan"), 400,
+     "invalid_argument"),
+    ("debug-seconds-inf", _get("/debug/profile?seconds=inf"), 400,
+     "invalid_argument"),
+    ("debug-hz-not-int", _get("/debug/profile?hz=fast"), 400,
+     "invalid_argument"),
+    ("debug-trace-empty-id", _get("/debug/trace/"), 400, "invalid_argument"),
+]
+
+
+@pytest.fixture(scope="class")
+def endpoints():
+    """A supervisor over one fake worker and a single diagnosis server,
+    started in that order so the fork happens before any server thread
+    exists.  Maps endpoint name -> port."""
+    supervisor = ClusterSupervisor(host="127.0.0.1", port=0, workers=1,
+                                   heartbeat_s=0.05,
+                                   worker_entry=obedient_entry)
+    supervisor.start()
+    thread = threading.Thread(target=supervisor.run, daemon=True)
+    thread.start()
+    server = ThreadedServer(port=0)
+    ports = {"server": server.start(), "control": supervisor.control_port}
+    assert wait_until(lambda: all_ready(supervisor))
+    yield ports
+    server.stop(drain=False)
+    supervisor.request_drain()
+    thread.join(20)
+
+
 class TestControlHttp:
-    """The control port answers like the server: 400 for malformed
-    requests and bad parameters, 405 for non-GET, shared negotiation."""
+    """The control port answers HTTP exactly as the server does: one
+    table of wire cases runs against both, then the control port's own
+    routes."""
 
-    def test_malformed_request_line_400(self, cluster):
-        supervisor, _, _ = cluster(workers=1)
-        assert wait_until(lambda: all_ready(supervisor))
-        for line in ("GARBAGE", "GET /healthz", "GET /healthz SPDY/3"):
-            status, _ = http_get(supervisor.control_port, None,
-                                 request_line=line)
-            assert status == 400, line
+    @pytest.mark.parametrize("endpoint", ["server", "control"])
+    @pytest.mark.parametrize("raw,status,code", [
+        pytest.param(raw, status, code, id=name)
+        for name, raw, status, code in WIRE_CASES])
+    def test_wire_case(self, endpoints, endpoint, raw, status, code):
+        head, body = exchange(endpoints[endpoint], raw)
+        assert head.startswith(b"HTTP/1.1 %d " % status), head
+        if code == "malformed_payload":
+            assert b"\r\nConnection: close" in head
+        error = json.loads(body)["error"]
+        assert error["code"] == code
+        assert error["message"]
 
-    def test_non_get_405(self, cluster):
-        supervisor, _, _ = cluster(workers=1)
-        assert wait_until(lambda: all_ready(supervisor))
-        for method in ("POST", "DELETE"):
-            status, body = http_get(supervisor.control_port, "/metrics",
-                                    method=method)
-            assert status == 405
-            assert json.loads(body)["error"]
+    @pytest.mark.parametrize("endpoint", ["server", "control"])
+    def test_client_raises_service_error(self, endpoints, endpoint):
+        with ServiceClient(port=endpoints[endpoint]) as client:
+            with pytest.raises(ServiceError) as exc:
+                client.debug_trace("   ")
+        assert exc.value.code == "invalid_argument"
 
-    def test_bad_debug_parameters_400(self, cluster):
-        supervisor, _, _ = cluster(workers=1)
-        assert wait_until(lambda: all_ready(supervisor))
-        for target in ("/debug/requests?limit=many",
-                       "/debug/profile?seconds=soon",
-                       "/debug/profile?seconds=nan",
-                       "/debug/profile?hz=fast",
-                       "/debug/trace/"):
-            status, _ = http_get(supervisor.control_port, target)
-            assert status == 400, target
+    def test_no_live_workers_503(self, cluster):
+        supervisor, _, _ = cluster(workers=1, worker_entry=silent_entry)
+        with ServiceClient(port=supervisor.control_port) as client:
+            with pytest.raises(ServiceError) as exc:
+                client.debug_requests(limit=5)
+        assert exc.value.code == "no_live_workers"
+        assert exc.value.status == 503
 
     def test_trace_id_unquoted(self, cluster):
         supervisor, _, _ = cluster(workers=1, worker_entry=echo_trace_entry)

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 import time
 
 import pytest
@@ -108,18 +109,58 @@ class TestErrorTaxonomyOverHttp:
         assert response.status == 400
         assert payload["error"]["code"] == "malformed_payload"
 
-    def test_unknown_route_404_and_wrong_method_405(self, live_server):
+    def test_get_diagnose_405(self, live_server):
+        """The framing, 404 and shared 405 cases run against the server
+        and the control port alike (tests/cluster/test_supervisor.py,
+        ``WIRE_CASES``); ``/diagnose`` exists only here."""
         _, port = live_server()
         ServiceClient(port=port).wait_ready()
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
-        conn.request("GET", "/nope")
-        response = conn.getresponse()
-        assert response.status == 404
-        assert json.loads(response.read())["error"]["code"] == "no_such_route"
         conn.request("GET", "/diagnose")
         response = conn.getresponse()
         assert response.status == 405
+        error = json.loads(response.read())["error"]
+        assert error["code"] == "method_not_allowed"
         conn.close()
+
+
+def read_until_close(port, data, timeout=5.0):
+    """Send raw bytes; everything the server answers until it closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(data)
+        received = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return received
+            received += chunk
+
+
+class TestKeepAliveFraming:
+    def test_chunked_body_rejected_once_then_closed(self, live_server):
+        """A chunked body is never read as the next request."""
+        _, port = live_server()
+        body = json.dumps(small_payload(0)).encode()
+        received = read_until_close(port, (
+            b"POST /diagnose HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n"))
+        assert received.count(b"HTTP/1.1 ") == 1, received
+        head, _, payload = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(payload)["error"]["code"] == "malformed_payload"
+
+    @pytest.mark.parametrize("token", ["Close", "CLOSE", "keep-alive, close"])
+    def test_connection_close_token_any_case(self, live_server, token):
+        _, port = live_server()
+        received = read_until_close(port, (
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: %s\r\n\r\n"
+            % token.encode()), timeout=3.0)
+        head, _, payload = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(payload)["status"] == "ok"
 
 
 class TestAdmissionControl:
