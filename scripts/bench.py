@@ -257,12 +257,15 @@ def bench_circuit(name, config, num_partitions, repeats=3, fault_cap=400):
 
     # Event-driven oracle vs the fault-batched cone kernel.  ``fault_sim_s``
     # keeps naming the production path so the cross-PR trajectory key
-    # stays meaningful.
+    # stays meaningful.  At least three repeats even under --quick: a
+    # single sample carries the batched kernel's first-call cost, which
+    # nothing has paid yet when the workload came from the disk cache.
     event_s, event_responses = best_of(
-        repeats, lambda: [sim.simulate_fault(fault) for fault in sample]
+        max(repeats, 3),
+        lambda: [sim.simulate_fault(fault) for fault in sample],
     )
     batch_s, batch_responses = best_of(
-        repeats, lambda: sim.simulate_faults(sample)
+        max(repeats, 3), lambda: sim.simulate_faults(sample)
     )
     for a, b in zip(event_responses, batch_responses):
         assert a.cell_errors.keys() == b.cell_errors.keys(), (

@@ -45,7 +45,8 @@ from .bist.misr import LinearCompactor
 from .bist.scan import ScanConfig
 from .circuit.library import PROFILES, get_circuit
 from .core.chainmap import chain_map, legend
-from .core.diagnosis import diagnose, diagnostic_resolution
+from .core.diagnosis import diagnostic_resolution
+from .core.diagnosis_batch import diagnose_population
 from .core.superposition import apply_superposition
 from .core.two_step import make_partitioner
 from .experiments import (
@@ -134,12 +135,10 @@ def diagnose_main(argv: Optional[List[str]] = None) -> int:
     responses = core.sample_fault_responses(
         args.faults, np.random.default_rng(args.seed)
     )
-    results = []
-    for response in responses:
-        result = diagnose(response, scan, partitions, compactor)
-        if args.prune:
-            [result] = apply_superposition([result], scan)
-        results.append(result)
+    results = diagnose_population(responses, scan, partitions, compactor)
+    if args.prune:
+        results = apply_superposition(results, scan)
+    for response, result in zip(responses, results):
         if args.verbose:
             print(f"{response.fault}: actual={sorted(result.actual_cells)} "
                   f"candidates={sorted(result.candidate_cells)}")

@@ -18,10 +18,10 @@ Message types (``msg["type"]``):
 
 * ``ready``     — the worker's server is listening and warmed;
   carries ``slot``, ``pid`` and the bound ``port``.
-* ``heartbeat`` — periodic liveness beacon; carries ``seq``,
-  ``uptime_s`` and (every beat) the worker's ``metrics`` registry
-  snapshot for fleet aggregation; its histograms carry log buckets, so
-  the supervisor merges request latency losslessly.
+* ``heartbeat`` — periodic liveness beacon; carries only what the
+  supervisor reads: ``draining``, the ``requests`` counts and the
+  worker's ``metrics`` snapshot for fleet aggregation (its histograms
+  carry log buckets, so the supervisor merges latency losslessly).
 * ``drained``   — drain finished; the worker is about to exit 0.
 * ``debug``     — supervisor → worker: one forwarded ``GET /debug/*``
   request; carries ``id`` (correlation), ``op`` (``requests`` /

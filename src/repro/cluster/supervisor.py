@@ -98,7 +98,6 @@ class WorkerSlot:
         self.consecutive_fast_exits = 0
         self.respawn_at = 0.0
         self.exit_code: Optional[int] = None
-        self.uptime_s = 0.0
         self.draining = False
         self.metrics: Dict[str, Any] = {}
         self.requests: Dict[str, int] = {}
@@ -434,7 +433,6 @@ class ClusterSupervisor:
                 log(f"cluster: rolling restart of slot {slot.index} complete")
         elif kind == "heartbeat":
             METRICS.incr("cluster.heartbeats")
-            slot.uptime_s = float(message.get("uptime_s") or 0.0)
             slot.draining = bool(message.get("draining"))
             metrics = message.get("metrics")
             if isinstance(metrics, dict):

@@ -36,13 +36,12 @@ import asyncio
 import os
 import signal
 import socket
-import time
 from typing import Any, Dict, Iterable, Optional
 
 from ..service.engine import DiagnosisEngine
 from ..service.protocol import DiagnoseRequest, ServiceError
 from ..service.server import DiagnosisServer
-from ..telemetry import FLIGHT, METRICS, log
+from ..telemetry import METRICS, log
 from .control import ControlChannelError, FrameDecoder, encode_frame
 
 #: Signals whose inherited dispositions a fresh worker resets.
@@ -188,20 +187,12 @@ async def _run_worker(
                     asyncio.ensure_future(handle_debug(message))
 
     async def heartbeat_loop() -> None:
-        seq = 0
         while True:
-            seq += 1
             alive = await send({
                 "type": "heartbeat",
-                "seq": seq,
-                "uptime_s": round(time.monotonic() - server.started_at, 3),
                 "draining": server.draining,
-                "inflight": server._inflight,
-                "queue_depth": server.queue.depth,
                 "requests": dict(server._request_counts),
                 "metrics": METRICS.snapshot(),
-                "flight": {"recorded": FLIGHT.recorded,
-                           "capacity": FLIGHT.capacity},
             })
             if not alive:
                 # Supervisor died; drain and exit instead of serving as

@@ -23,12 +23,13 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..bist.misr import LinearCompactor
 from ..core.binary_search import binary_search_diagnose
-from ..core.diagnosis import diagnose, diagnostic_resolution
+from ..core.diagnosis import diagnostic_resolution
+from ..core.diagnosis_batch import diagnose_population
 from .config import ExperimentConfig, default_config
 from .reporting import render_table
-from .runner import build_circuit_workload, evaluate_scheme, scheme_partitions
+from .runner import (build_circuit_workload, evaluate_scheme,
+                     scheme_partitions, shared_compactor)
 
 
 # -- 1. number of interval partitions in step one ---------------------------
@@ -153,15 +154,14 @@ def run_aliasing_ablation(
         [("exact", None),
          ("parity", ParityCompactor(workload.scan_config.num_chains))]
         + [
-            (f"MISR-{w}", LinearCompactor(w, workload.scan_config.num_chains))
+            (f"MISR-{w}", shared_compactor(w, workload.scan_config.num_chains))
             for w in widths
         ]
     )
     for label, compactor in modes:
-        results = [
-            diagnose(response, workload.scan_config, partitions, compactor)
-            for response in workload.responses
-        ]
+        results = diagnose_population(
+            workload.responses, workload.scan_config, partitions, compactor
+        )
         violations = sum(1 for r in results if r.detected and not r.sound)
         rows.append([label, diagnostic_resolution(results), violations])
     return AliasingAblation(circuit, rows)
@@ -240,7 +240,7 @@ def run_binary_search_ablation(
 ) -> BinarySearchAblation:
     config = config or default_config()
     workload = build_circuit_workload(circuit, config)
-    compactor = LinearCompactor(config.misr_width, workload.scan_config.num_chains)
+    compactor = shared_compactor(config.misr_width, workload.scan_config.num_chains)
     binary_results = [
         binary_search_diagnose(response, workload.scan_config, compactor)
         for response in workload.responses

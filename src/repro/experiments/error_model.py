@@ -23,12 +23,12 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..bist.misr import LinearCompactor
-from ..core.diagnosis import diagnose, diagnostic_resolution
+from ..core.diagnosis import diagnostic_resolution
+from ..core.diagnosis_batch import diagnose_population
 from ..sim.error_injection import inject_clustered_errors, inject_random_errors
 from .config import ExperimentConfig, default_config
 from .reporting import render_table
-from .runner import build_circuit_workload, scheme_partitions
+from .runner import build_circuit_workload, scheme_partitions, shared_compactor
 
 
 @dataclass
@@ -81,7 +81,7 @@ def run_error_model_ablation(
         "real-faults": workload.responses,
     }
 
-    compactor = LinearCompactor(config.misr_width, workload.scan_config.num_chains)
+    compactor = shared_compactor(config.misr_width, workload.scan_config.num_chains)
     rows = []
     for label, responses in protocols.items():
         mean_fails = float(
@@ -96,10 +96,9 @@ def run_error_model_ablation(
                 num_partitions,
                 lfsr_degree=config.lfsr_degree,
             )
-            results = [
-                diagnose(response, workload.scan_config, partitions, compactor)
-                for response in responses
-            ]
+            results = diagnose_population(
+                responses, workload.scan_config, partitions, compactor
+            )
             drs.append(diagnostic_resolution(results))
         rows.append([label, mean_fails, drs[0], drs[1]])
     return ErrorModelAblation(circuit, rows)

@@ -19,10 +19,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..bist.misr import LinearCompactor
-from ..core.diagnosis import diagnose, diagnostic_resolution
+from ..core.diagnosis import diagnostic_resolution
+from ..core.diagnosis_batch import diagnose_population
 from ..core.ordering import random_scan_order, response_span
-from ..core.two_step import make_partitioner
 from ..core.vector_diagnosis import (
     diagnose_vectors_population,
     vector_diagnostic_resolution,
@@ -32,7 +31,8 @@ from ..soc.stitch import build_stitched_soc
 from ..soc.testrail import TestRail
 from .config import ExperimentConfig, default_config
 from .reporting import render_table
-from .runner import build_circuit_workload, build_soc_workloads, scheme_partitions
+from .runner import (build_circuit_workload, build_soc_workloads,
+                     scheme_partitions, shared_compactor)
 
 
 # -- 1. failing-vector identification ----------------------------------------
@@ -62,7 +62,7 @@ def run_vector_diagnosis(
 ) -> VectorDiagnosisExperiment:
     config = config or default_config()
     workload = build_circuit_workload(circuit, config)
-    compactor = LinearCompactor(config.misr_width, workload.scan_config.num_chains)
+    compactor = shared_compactor(config.misr_width, workload.scan_config.num_chains)
     rows = []
     for scheme in schemes:
         partitions = scheme_partitions(
@@ -109,7 +109,7 @@ def run_scan_order_ablation(
             workload.scan_config, np.random.default_rng(config.fault_seed)
         ),
     }
-    compactor = LinearCompactor(config.misr_width, 1)
+    compactor = shared_compactor(config.misr_width, 1)
     rows = []
     for label, scan_config in orders.items():
         spans = [
@@ -126,10 +126,9 @@ def run_scan_order_ablation(
                 num_partitions,
                 lfsr_degree=config.lfsr_degree,
             )
-            results = [
-                diagnose(response, scan_config, partitions, compactor)
-                for response in workload.responses
-            ]
+            results = diagnose_population(
+                workload.responses, scan_config, partitions, compactor
+            )
             drs.append(diagnostic_resolution(results))
         rows.append([label, float(np.mean(spans)), drs[0], drs[1]])
     return ScanOrderExperiment(circuit, rows)
@@ -170,7 +169,7 @@ def run_diagnosis_time(
         num_patterns=config.num_patterns, scale=config.scale
     )
     workloads = build_soc_workloads(soc, config)
-    compactor = LinearCompactor(config.misr_width, soc.scan_config.num_chains)
+    compactor = shared_compactor(config.misr_width, soc.scan_config.num_chains)
     rows = []
     for core in soc.cores:
         workload = workloads[core.name]
@@ -183,10 +182,9 @@ def run_diagnosis_time(
                 max_partitions,
                 lfsr_degree=config.lfsr_degree,
             )
-            results = [
-                diagnose(response, soc.scan_config, partitions, compactor)
-                for response in workload.responses
-            ]
+            results = diagnose_population(
+                workload.responses, soc.scan_config, partitions, compactor
+            )
             cycles[scheme] = cycles_to_reach_dr(
                 results,
                 target_dr,
@@ -253,31 +251,21 @@ def run_schedule_diagnosis(
         local = core.sample_fault_responses(
             max(4, config.faults_for(core.name) // 4), rng
         )
-        results = []
-        for response in local:
-            lifted = soc.lift_response(core_index, response)
-            clipped = _clip_to_budget(lifted, budget)
-            if not clipped.detected:
-                continue
-            results.append(
-                diagnose_schedule(
-                    clipped,
-                    schedule,
-                    scheme="two-step",
-                    num_partitions=num_partitions,
-                    num_groups=num_groups,
-                    misr_width=config.misr_width,
-                    lfsr_degree=config.lfsr_degree,
-                )
-            )
-        if not results:
-            rows.append([core.name, 0, None])
-            continue
-        total_actual = sum(len(r.actual_cells) for r in results)
-        total_candidates = sum(len(r.candidate_cells) for r in results)
-        rows.append(
-            [core.name, len(results), (total_candidates - total_actual) / total_actual]
+        clipped = [
+            _clip_to_budget(soc.lift_response(core_index, response), budget)
+            for response in local
+        ]
+        results = diagnose_schedule(
+            [response for response in clipped if response.detected],
+            schedule,
+            scheme="two-step",
+            num_partitions=num_partitions,
+            num_groups=num_groups,
+            misr_width=config.misr_width,
+            lfsr_degree=config.lfsr_degree,
         )
+        rows.append([core.name, len(results),
+                     diagnostic_resolution(results) if results else None])
     return ScheduleExperiment(soc.name, len(schedule.phases), rows)
 
 
@@ -333,7 +321,8 @@ def run_multi_core(
         merge_responses([first.responses[i], second.responses[i]])
         for i in range(pair_count)
     ]
-    compactor = LinearCompactor(config.misr_width, soc.scan_config.num_chains)
+    compactor = shared_compactor(config.misr_width, soc.scan_config.num_chains)
+    detected = [response for response in merged if response.detected]
     rows = []
     for scheme in ("random", "two-step"):
         partitions = scheme_partitions(
@@ -343,10 +332,8 @@ def run_multi_core(
             num_partitions,
             lfsr_degree=config.lfsr_degree,
         )
-        results = [
-            diagnose(response, soc.scan_config, partitions, compactor)
-            for response in merged
-            if response.detected
-        ]
+        results = diagnose_population(
+            detected, soc.scan_config, partitions, compactor
+        )
         rows.append([scheme, diagnostic_resolution(results)])
     return MultiCoreExperiment(soc.name, core_pair, rows)

@@ -16,12 +16,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..bist.misr import LinearCompactor
-from ..core.diagnosis import diagnose
+from ..core.diagnosis_batch import diagnose_population
 from ..core.partitions import Partition
 from ..telemetry import span
 from .config import ExperimentConfig, default_config
-from .runner import Workload, build_circuit_workload, scheme_partitions
+from .runner import (Workload, build_circuit_workload, scheme_partitions,
+                     shared_compactor)
 
 CIRCUIT = "s953"
 NUM_GROUPS = 4
@@ -82,7 +82,7 @@ def run_figure3(
     if fault_index is None:
         fault_index = _pick_clustered_fault(workload)
     response = workload.responses[fault_index]
-    compactor = LinearCompactor(config.misr_width, 1)
+    compactor = shared_compactor(config.misr_width, 1)
 
     def one_partition(scheme: str) -> Partition:
         return scheme_partitions(
@@ -96,12 +96,12 @@ def run_figure3(
     interval_part = one_partition("interval")
     random_part = one_partition("random")
     with span("diagnose", scheme="interval", workload=CIRCUIT):
-        interval_result = diagnose(
-            response, workload.scan_config, [interval_part], compactor
+        [interval_result] = diagnose_population(
+            [response], workload.scan_config, [interval_part], compactor
         )
     with span("diagnose", scheme="random", workload=CIRCUIT):
-        random_result = diagnose(
-            response, workload.scan_config, [random_part], compactor
+        [random_result] = diagnose_population(
+            [response], workload.scan_config, [random_part], compactor
         )
     return Figure3Result(
         failing_cells=sorted(response.failing_cells),

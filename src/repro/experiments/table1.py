@@ -15,12 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..bist.misr import LinearCompactor
-from ..core.diagnosis import diagnose, dr_by_partition_count
-from ..telemetry import METRICS, span
+from ..core.diagnosis import dr_by_partition_count
 from .config import ExperimentConfig, PAPER_PATTERNS_TABLE1, default_config
 from .reporting import render_table
-from .runner import build_circuit_workload, scheme_partitions
+from .runner import build_circuit_workload, evaluate_scheme
 
 CIRCUIT = "s953"
 NUM_GROUPS = 4
@@ -59,23 +57,10 @@ def run_table1(config: ExperimentConfig = None) -> Table1Result:
     workload = build_circuit_workload(
         CIRCUIT, config, num_patterns=PAPER_PATTERNS_TABLE1
     )
-    compactor = LinearCompactor(config.misr_width, workload.scan_config.num_chains)
     dr: dict = {}
     for scheme in SCHEMES:
-        partitions = scheme_partitions(
-            scheme,
-            workload.scan_config.max_length,
-            NUM_GROUPS,
-            MAX_PARTITIONS,
-            lfsr_degree=config.lfsr_degree,
+        evaluation = evaluate_scheme(
+            workload, scheme, MAX_PARTITIONS, NUM_GROUPS, config
         )
-        with span("diagnose", scheme=scheme, workload=CIRCUIT) as sp:
-            results = [
-                diagnose(response, workload.scan_config, partitions, compactor)
-                for response in workload.responses
-            ]
-            sp.add("faults", len(results))
-            METRICS.incr("diagnosis.faults", len(results))
-        with span("dr.score", scheme=scheme, workload=CIRCUIT):
-            dr[scheme] = dr_by_partition_count(results, MAX_PARTITIONS)
+        dr[scheme] = dr_by_partition_count(evaluation.results, MAX_PARTITIONS)
     return Table1Result(dr=dr, num_faults=len(workload.responses))

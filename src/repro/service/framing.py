@@ -44,13 +44,18 @@ class RequestHead(NamedTuple):
     query: str
     headers: Dict[str, str]
     content_length: int
+    #: The request line's protocol, e.g. ``HTTP/1.1``.
+    version: str
 
     @property
     def keep_alive(self) -> bool:
-        """False when the client sent a ``close`` connection token."""
-        tokens = self.headers.get("connection")
-        return tokens is None or "close" not in [
-            token.strip() for token in tokens.lower().split(",")]
+        """HTTP/1.1 persists unless the client sent a ``close`` token;
+        HTTP/1.0 closes unless it sent a ``keep-alive`` token."""
+        tokens = [token.strip() for token in
+                  self.headers.get("connection", "").lower().split(",")]
+        if self.version == "HTTP/1.0":
+            return "keep-alive" in tokens and "close" not in tokens
+        return "close" not in tokens
 
 
 def malformed(message: str) -> ServiceError:
@@ -91,7 +96,8 @@ def parse_head(buffer: bytes) -> Optional[RequestHead]:
     if int(length) > MAX_BODY_BYTES:
         raise malformed("body too large")
     path, _, query = parts[1].partition("?")
-    return RequestHead(parts[0].upper(), path, query, headers, int(length))
+    return RequestHead(parts[0].upper(), path, query, headers, int(length),
+                       parts[2])
 
 
 def match_route(routes: Mapping[str, Sequence[str]], method: str,

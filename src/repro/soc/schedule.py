@@ -13,8 +13,8 @@ cells disappear from the meta chains (bypass flops close the gap), so the
 chains shorten and every remaining cell's shift position moves.
 
 Diagnosis across a schedule runs the partition sessions *per phase* (each
-phase has its own chain geometry, so its own partitions) and takes the
-union of the per-phase candidate sets:
+phase has its own chain geometry, so its own partitions) over the whole
+fault population, and takes the union of the per-phase candidate sets:
 
 * a cell can only capture errors while its core is active, so the union of
   per-phase candidates covers every truly failing cell (soundness);
@@ -24,15 +24,16 @@ union of the per-phase candidate sets:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..bist.misr import LinearCompactor
 from ..bist.scan import ScanConfig
-from ..core.diagnosis import DiagnosisResult, diagnose
+from ..core.diagnosis import DiagnosisResult
+from ..core.diagnosis_batch import diagnose_population
 from ..core.two_step import make_partitioner
-from ..sim.bitops import num_words, pattern_mask
+from ..sim.bitops import WORD_BITS, num_words, pattern_mask
 from ..sim.faultsim import FaultResponse
 from .testrail import TestRail
 
@@ -137,29 +138,46 @@ class TestSchedule:
 def _slice_response(
     response: FaultResponse,
     phase: Phase,
-    soc: TestRail,
+    local_of_global: np.ndarray,
 ) -> FaultResponse:
     """The fault's error matrix restricted to one phase: only patterns in
     the phase window, only cells active in the phase, re-indexed to the
-    phase-local cell ids and pattern offsets."""
-    local_of_global = {gid: lid for lid, gid in enumerate(phase.global_of_local)}
-    words = num_words(phase.num_patterns)
-    mask = pattern_mask(phase.num_patterns)
-    sliced: Dict[int, np.ndarray] = {}
-    for gid, vec in response.cell_errors.items():
-        lid = local_of_global.get(gid)
-        if lid is None:
-            continue
-        local_vec = np.zeros(words, dtype=np.uint64)
-        for p_local in range(phase.num_patterns):
-            p_global = phase.first_pattern + p_local
-            word, bit = divmod(p_global, 64)
-            if word < len(vec) and (int(vec[word]) >> bit) & 1:
-                local_vec[p_local // 64] |= np.uint64(1) << np.uint64(p_local % 64)
-        local_vec &= mask
-        if local_vec.any():
-            sliced[lid] = local_vec
+    phase-local cell ids and pattern offsets.  ``local_of_global`` comes
+    from :func:`_local_index`."""
+    lids = local_of_global[list(response.cell_errors)]
+    active = np.flatnonzero(lids >= 0)
+    if not active.size:
+        return FaultResponse(response.fault, {}, phase.num_patterns)
+    vectors = list(response.cell_errors.values())
+    window = _pattern_window(
+        np.stack([vectors[i] for i in active]),
+        phase.first_pattern, phase.num_patterns,
+    )
+    sliced = {
+        lid: row for lid, row in zip(lids[active].tolist(), window) if row.any()
+    }
     return FaultResponse(response.fault, sliced, phase.num_patterns)
+
+
+def _pattern_window(matrix: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Bits ``first .. first + count - 1`` of each packed row of
+    ``matrix``, shifted down to bit 0 (missing source words read as 0)."""
+    word, shift = divmod(first, WORD_BITS)
+    words = num_words(count)
+    source = np.zeros((len(matrix), words + 1), dtype=np.uint64)
+    available = matrix[:, word:word + words + 1]
+    source[:, :available.shape[1]] = available
+    window = source[:, :words] >> np.uint64(shift)
+    if shift:
+        window |= source[:, 1:] << np.uint64(WORD_BITS - shift)
+    return window & pattern_mask(count)
+
+
+def _local_index(phase: Phase, num_cells: int) -> np.ndarray:
+    """SOC-global cell id -> phase-local id; -1 for bypassed cells."""
+    local_of_global = np.full(num_cells, -1, dtype=np.int64)
+    local_of_global[phase.global_of_local] = np.arange(len(phase.global_of_local))
+    return local_of_global
 
 
 @dataclass
@@ -180,38 +198,48 @@ class ScheduleDiagnosisResult:
 
 
 def diagnose_schedule(
-    response: FaultResponse,
+    responses: Sequence[FaultResponse],
     schedule: TestSchedule,
     scheme: str = "two-step",
     num_partitions: int = 8,
     num_groups: int = 8,
     misr_width: int = 24,
     lfsr_degree: int = 16,
-) -> ScheduleDiagnosisResult:
-    """Diagnose a fault across all phases of a bypassing schedule.
+) -> List[ScheduleDiagnosisResult]:
+    """Diagnose a fault population across all phases of a bypassing schedule.
 
     Each phase gets its own partition sequence (its chain geometry is
-    unique) and its own sessions; candidates are the union of the phases'
+    unique) and diagnoses the responses with errors in its window as one
+    population; each fault's candidates are the union of its phases'
     candidate sets, mapped back to SOC-global cell ids.
     """
-    candidates: Set[int] = set()
-    per_phase: List[Optional[DiagnosisResult]] = []
+    results = [
+        ScheduleDiagnosisResult(set(response.failing_cells), set(), [])
+        for response in responses
+    ]
     for phase in schedule.phases:
-        local = _slice_response(response, phase, schedule.soc)
-        if not local.detected:
-            per_phase.append(None)
+        local_of_global = _local_index(phase, schedule.soc.num_cells)
+        sliced = [
+            _slice_response(response, phase, local_of_global)
+            for response in responses
+        ]
+        detected = [f for f, local in enumerate(sliced) if local.detected]
+        for result in results:
+            result.per_phase.append(None)
+        if not detected:
             continue
         partitions = make_partitioner(
             scheme, phase.scan_config.max_length, num_groups, lfsr_degree
         ).partitions(num_partitions)
         compactor = LinearCompactor(misr_width, phase.scan_config.num_chains)
-        result = diagnose(local, phase.scan_config, partitions, compactor)
-        per_phase.append(result)
-        candidates.update(
-            phase.global_of_local[lid] for lid in result.candidate_cells
+        phase_results = diagnose_population(
+            [sliced[f] for f in detected], phase.scan_config, partitions,
+            compactor,
         )
-    return ScheduleDiagnosisResult(
-        actual_cells=set(response.failing_cells),
-        candidate_cells=candidates,
-        per_phase=per_phase,
-    )
+        for f, phase_result in zip(detected, phase_results):
+            results[f].per_phase[-1] = phase_result
+            results[f].candidate_cells.update(
+                phase.global_of_local[lid]
+                for lid in phase_result.candidate_cells
+            )
+    return results

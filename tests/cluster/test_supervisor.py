@@ -41,13 +41,10 @@ def obedient_entry(index, control_sock, on_frame=None):
     signal.signal(signal.SIGTERM, lambda *_: stop.append(1))
     send_message(control_sock, {"type": "ready", "slot": index,
                                 "pid": os.getpid(), "port": 40000 + index})
-    seq = 0
     while not stop:
-        seq += 1
         try:
             send_message(control_sock, {
-                "type": "heartbeat", "slot": index, "seq": seq,
-                "uptime_s": seq * 0.03, "draining": False,
+                "type": "heartbeat", "draining": False,
                 "requests": {"ok": 1},
                 "metrics": {
                     "counters": {"service.requests{code=ok}": 1},

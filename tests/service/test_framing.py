@@ -73,6 +73,19 @@ class TestParseHead:
             raw += f"Connection: {value}\r\n"
         assert parse_head((raw + "\r\n").encode()).keep_alive is keep_alive
 
+    @pytest.mark.parametrize("value,keep_alive", [
+        (None, False), ("keep-alive", True), ("Keep-Alive", True),
+        ("close", False), ("keep-alive, close", False),
+    ])
+    def test_http10_closes_unless_asked_to_keep_alive(self, value,
+                                                      keep_alive):
+        raw = "GET / HTTP/1.0\r\n"
+        if value is not None:
+            raw += f"Connection: {value}\r\n"
+        head = parse_head((raw + "\r\n").encode())
+        assert head.version == "HTTP/1.0"
+        assert head.keep_alive is keep_alive
+
 
 class TestHeadEnd:
     def test_incomplete_head_is_none(self):

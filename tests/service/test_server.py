@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import re
 import socket
 import time
 
@@ -161,6 +162,27 @@ class TestKeepAliveFraming:
         assert head.startswith(b"HTTP/1.1 200 ")
         assert b"\r\nConnection: close" in head
         assert json.loads(payload)["status"] == "ok"
+
+    def test_http10_without_connection_header_closes(self, live_server):
+        _, port = live_server()
+        received = read_until_close(
+            port, b"GET /healthz HTTP/1.0\r\nHost: t\r\n\r\n", timeout=3.0)
+        head, _, payload = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(payload)["status"] == "ok"
+
+    def test_http10_keep_alive_token_keeps_the_connection(self, live_server):
+        """Two HTTP/1.0 requests on one socket: the first asks to stay
+        open, the second does not, so the server answers both and then
+        closes."""
+        _, port = live_server()
+        received = read_until_close(port, (
+            b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+            b"GET /healthz HTTP/1.0\r\n\r\n"), timeout=3.0)
+        assert received.count(b"HTTP/1.1 200 ") == 2, received
+        assert re.findall(rb"\r\nConnection: ([a-z-]+)\r\n", received) == [
+            b"keep-alive", b"close"]
 
 
 class TestAdmissionControl:

@@ -60,14 +60,15 @@ class TestPipeline:
         for core_index, core in enumerate(rail.cores):
             budget = schedule.budgets[core_index]
             responses = core.sample_fault_responses(3, rng)
-            for response in responses:
-                lifted = rail.lift_response(core_index, response)
-                clipped = _clip(lifted, budget)
-                if not clipped.detected:
-                    continue
-                result = diagnose_schedule(
-                    clipped, schedule, num_partitions=6, num_groups=4
-                )
+            clipped = [
+                _clip(rail.lift_response(core_index, response), budget)
+                for response in responses
+            ]
+            clipped = [response for response in clipped if response.detected]
+            results = diagnose_schedule(
+                clipped, schedule, num_partitions=6, num_groups=4
+            )
+            for response, result in zip(clipped, results):
                 assert result.sound, (core.name, str(response.fault))
                 # Two-step localization: most candidates should sit in the
                 # faulty core (intervals capture its contiguous segment).

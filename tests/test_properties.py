@@ -130,17 +130,19 @@ class TestScheduleEquivalence:
         rail = SocRail("eq", [core], tam_width=1)
         schedule = Schedule(rail, {core.name: 16})
         assert len(schedule.phases) == 1
-        responses = core.sample_fault_responses(3, rng)
-        for response in responses:
-            lifted = rail.lift_response(0, response)
-            via_schedule = diagnose_schedule(
-                lifted, schedule, scheme="two-step", num_partitions=3,
-                num_groups=4, misr_width=24,
-            )
-            partitions = make_partitioner(
-                "two-step", rail.scan_config.max_length, 4
-            ).partitions(3)
+        lifted = [
+            rail.lift_response(0, response)
+            for response in core.sample_fault_responses(3, rng)
+        ]
+        via_schedule = diagnose_schedule(
+            lifted, schedule, scheme="two-step", num_partitions=3,
+            num_groups=4, misr_width=24,
+        )
+        partitions = make_partitioner(
+            "two-step", rail.scan_config.max_length, 4
+        ).partitions(3)
+        for response, scheduled in zip(lifted, via_schedule):
             plain = diagnose(
-                lifted, rail.scan_config, partitions, LinearCompactor(24, 1)
+                response, rail.scan_config, partitions, LinearCompactor(24, 1)
             )
-            assert via_schedule.candidate_cells == plain.candidate_cells
+            assert scheduled.candidate_cells == plain.candidate_cells
