@@ -11,10 +11,12 @@ Entry points (also runnable as ``python -m repro.cli``):
   flamegraph-ready ``profile.folded``.
 * ``repro-serve`` / ``python -m repro.cli serve`` — long-lived batching
   diagnosis server (:mod:`repro.service`): POST /diagnose, GET /healthz,
-  GET /metrics; knobs via ``REPRO_SERVE_PORT``, ``REPRO_BATCH_MAX``,
-  ``REPRO_BATCH_WAIT_MS``, ``REPRO_QUEUE_DEPTH``.  ``--workers N`` (or
-  ``REPRO_CLUSTER_WORKERS``) with N > 1 runs the prefork cluster instead
-  (:mod:`repro.cluster`): N supervised server processes on one port.
+  GET /metrics; an idle dispatcher sends each request at once, together
+  with every same-workload request already queued; knobs via
+  ``REPRO_SERVE_PORT``, ``REPRO_BATCH_MAX``, ``REPRO_QUEUE_DEPTH``.
+  ``--workers N`` (or ``REPRO_CLUSTER_WORKERS``) with N > 1 runs the
+  prefork cluster instead (:mod:`repro.cluster`): N supervised server
+  processes on one port.
 * ``repro-cluster`` — shorthand for ``repro serve --workers N`` with N
   defaulting to ``REPRO_CLUSTER_WORKERS`` or the CPU count.
 * ``repro-top`` / ``python -m repro.cli top`` — refreshing terminal

@@ -1,12 +1,14 @@
-"""Bounded request queue with dynamic, workload-keyed batching.
+"""Bounded request queue with dispatch-on-idle, workload-keyed batching.
 
 Requests arrive one HTTP connection at a time but share expensive compiled
 state whenever their workload key matches, so the dispatcher coalesces
-them: take the oldest pending request, then hold the batch open for up to
-``batch_wait_s`` (or until ``batch_max`` same-key requests are pending),
-and hand the whole group to the engine as **one** vectorized diagnosis
-call.  Requests with *other* keys are left queued in arrival order — FIFO
-across keys, batched within a key.
+them.  A free dispatcher takes the oldest pending request plus every
+same-key request already queued (up to ``batch_max``) and dispatches at
+once; nothing is held open on a timer.  Batches still form under load:
+the dispatcher asks for the next batch only after the previous one
+returns, so whatever queued while the engine was busy goes out together
+as **one** vectorized diagnosis call.  Requests with *other* keys are left
+queued in arrival order — FIFO across keys, batched within a key.
 
 Admission control is synchronous: :meth:`BatchQueue.offer` either accepts
 the request (bounded by ``max_depth``) or raises ``queue_full`` with a
@@ -57,13 +59,11 @@ class PendingRequest:
 class BatchQueue:
     """FIFO-across-keys, coalescing-within-key bounded request queue."""
 
-    def __init__(self, max_depth: int = 256, batch_max: int = 32,
-                 batch_wait_s: float = 0.005):
+    def __init__(self, max_depth: int = 256, batch_max: int = 32):
         if max_depth < 1 or batch_max < 1:
             raise ValueError("max_depth and batch_max must be >= 1")
         self.max_depth = max_depth
         self.batch_max = batch_max
-        self.batch_wait_s = max(0.0, batch_wait_s)
         self._pending: Deque[PendingRequest] = deque()
         self._cond: Optional[asyncio.Condition] = None
         #: EWMA of seconds consumed per request served (Retry-After hint).
@@ -117,8 +117,8 @@ class BatchQueue:
         """Block until a batch is ready; empty list means the queue closed.
 
         The batch is the oldest pending request plus every same-key request
-        that is already queued or arrives within ``batch_wait_s``, capped
-        at ``batch_max``.  Expired/abandoned entries are pruned (expired
+        already queued, capped at ``batch_max``; it waits only while the
+        queue is empty.  Expired/abandoned entries are pruned (expired
         ones get a ``deadline_exceeded`` result).
         """
         cond = self._condition()
@@ -131,16 +131,6 @@ class BatchQueue:
                     return []
                 await cond.wait()
             key = self._pending[0].request.workload_key
-            if self.batch_wait_s > 0:
-                give_up = time.monotonic() + self.batch_wait_s
-                while self._count_key(key) < self.batch_max:
-                    remaining = give_up - time.monotonic()
-                    if remaining <= 0 or self._closed:
-                        break
-                    try:
-                        await asyncio.wait_for(cond.wait(), timeout=remaining)
-                    except asyncio.TimeoutError:
-                        break
             batch: List[PendingRequest] = []
             kept: Deque[PendingRequest] = deque()
             for entry in self._pending:
@@ -152,9 +142,6 @@ class BatchQueue:
             METRICS.gauge("service.queue_depth", len(self._pending))
         batch = [e for e in batch if self._still_wanted(e)]
         return batch if batch else await self.next_batch()
-
-    def _count_key(self, key) -> int:
-        return sum(1 for e in self._pending if e.request.workload_key == key)
 
     def _prune_locked(self) -> None:
         kept: Deque[PendingRequest] = deque()

@@ -10,7 +10,8 @@ a long batch never stalls accepts, health checks or metric scrapes.
 Request lifecycle (see docs/architecture.md, "Serving")::
 
     accept -> parse -> admission (queue bound) -> BatchQueue
-           -> dispatcher coalesces same-workload requests
+           -> idle dispatcher takes the oldest request plus every
+              same-workload request already queued (dispatch on idle)
            -> DiagnosisEngine.execute_batch (executor thread, fused kernel)
            -> per-request futures resolve -> HTTP responses
 
@@ -45,8 +46,8 @@ header is honoured when valid, otherwise the server mints ids; the reply
 payload echoes ``trace_id`` so clients can fetch the tree afterwards.
 
 Knobs (constructor arguments; the CLI maps env vars onto them):
-``REPRO_SERVE_PORT``, ``REPRO_BATCH_MAX``, ``REPRO_BATCH_WAIT_MS``,
-``REPRO_QUEUE_DEPTH``, ``REPRO_FLIGHT_SPANS``.
+``REPRO_SERVE_PORT``, ``REPRO_BATCH_MAX``, ``REPRO_QUEUE_DEPTH``,
+``REPRO_FLIGHT_SPANS``.
 
 Shutdown: SIGTERM/SIGINT stop the listener, flip ``/healthz`` to
 ``draining`` (new diagnoses get 503 ``shutting_down``), let queued and
@@ -159,11 +160,6 @@ def _env_int(name: str, default: int) -> int:
     return int(raw) if raw else default
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    return float(raw) if raw else default
-
-
 def process_rss_bytes() -> Optional[int]:
     """Resident set size of this process, stdlib only.
 
@@ -212,7 +208,6 @@ class DiagnosisServer:
         port: Optional[int] = None,
         engine: Optional[DiagnosisEngine] = None,
         batch_max: Optional[int] = None,
-        batch_wait_ms: Optional[float] = None,
         queue_depth: Optional[int] = None,
         dispatchers: int = 1,
         default_timeout_ms: Optional[float] = 30_000.0,
@@ -236,14 +231,9 @@ class DiagnosisServer:
         self.engine = engine or DiagnosisEngine()
         self.batch_max = batch_max if batch_max is not None else _env_int(
             "REPRO_BATCH_MAX", 32)
-        wait_ms = batch_wait_ms if batch_wait_ms is not None else _env_float(
-            "REPRO_BATCH_WAIT_MS", 5.0)
         depth = queue_depth if queue_depth is not None else _env_int(
             "REPRO_QUEUE_DEPTH", 256)
-        self.queue = BatchQueue(
-            max_depth=depth, batch_max=self.batch_max,
-            batch_wait_s=wait_ms / 1000.0,
-        )
+        self.queue = BatchQueue(max_depth=depth, batch_max=self.batch_max)
         self.dispatchers = max(1, dispatchers)
         self.default_timeout_ms = default_timeout_ms
         self.drain_grace_s = drain_grace_s
@@ -287,7 +277,6 @@ class DiagnosisServer:
             )
         log(f"service: listening on http://{self.host}:{self.port} "
             f"(batch_max={self.batch_max}, "
-            f"wait={self.queue.batch_wait_s * 1000:.0f}ms, "
             f"queue_depth={self.queue.max_depth})")
         self._fire_hook(self.on_ready)
 
@@ -603,7 +592,6 @@ class DiagnosisServer:
             },
             "batching": {
                 "batch_max": self.batch_max,
-                "batch_wait_ms": self.queue.batch_wait_s * 1000,
                 "batches": int(METRICS.counter("service.batches")),
                 "batch_size": registry["histograms"].get("service.batch_size"),
             },
@@ -763,7 +751,6 @@ async def _serve(args: argparse.Namespace) -> int:
         port=args.port,
         engine=engine,
         batch_max=args.batch_max,
-        batch_wait_ms=args.batch_wait_ms,
         queue_depth=args.queue_depth,
         dispatchers=args.dispatchers,
         drain_grace_s=args.drain_grace_s,
@@ -804,9 +791,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--batch-max", type=int, default=None,
                         help="max requests coalesced per batch "
                         "(default REPRO_BATCH_MAX or 32)")
-    parser.add_argument("--batch-wait-ms", type=float, default=None,
-                        help="max time a batch is held open for coalescing "
-                        "(default REPRO_BATCH_WAIT_MS or 5)")
     parser.add_argument("--queue-depth", type=int, default=None,
                         help="admission-control bound on queued requests "
                         "(default REPRO_QUEUE_DEPTH or 256)")
@@ -863,7 +847,6 @@ def _serve_cluster(args: argparse.Namespace) -> int:
         drain_grace_s=max(args.drain_grace_s + 5.0, 15.0),
         server_kwargs=dict(
             batch_max=args.batch_max,
-            batch_wait_ms=args.batch_wait_ms,
             queue_depth=args.queue_depth,
             dispatchers=args.dispatchers,
             drain_grace_s=args.drain_grace_s,

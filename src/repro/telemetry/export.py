@@ -50,7 +50,6 @@ ENV_KNOBS = (
     "REPRO_SCALE",
     "REPRO_SERVE_PORT",
     "REPRO_BATCH_MAX",
-    "REPRO_BATCH_WAIT_MS",
     "REPRO_QUEUE_DEPTH",
     "REPRO_FLIGHT_SPANS",
 )

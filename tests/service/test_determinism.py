@@ -5,45 +5,39 @@ This is the serving layer's contract with the reproduction: batching,
 queueing and executor threads must be invisible in the numbers.
 """
 
-import threading
-
 from repro.service.client import ServiceClient
-from repro.service.engine import DiagnosisEngine
 
-from .conftest import SMALL, small_request
+from .conftest import SMALL, GatedEngine, coalesce_behind_gate, small_request
 from .test_engine import direct_results
 
 
-def service_candidates(port, indices):
-    """Submit all indices concurrently (so they actually coalesce)."""
+def service_candidates(server, engine, indices):
+    """Submit all indices concurrently, behind a busy engine (so they
+    actually coalesce)."""
     out = {}
 
     def fire(i):
-        with ServiceClient(port=port, timeout_s=60) as client:
+        with ServiceClient(port=server.server.port, timeout_s=60) as client:
             out[i] = tuple(client.diagnose(
                 dict(SMALL, fault_index=i, timeout_ms=60_000)).candidate_cells)
 
-    threads = [threading.Thread(target=fire, args=(i,)) for i in indices]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    coalesce_behind_gate(server, engine, fire, list(indices))
     return out
 
 
 class TestServiceMatchesDirectPath:
     def test_serial_server_bit_identical(self, live_server):
         _, expected = direct_results()
-        _, port = live_server(batch_wait_ms=50, batch_max=16,
-                              engine=DiagnosisEngine())
+        engine = GatedEngine()
+        server, port = live_server(batch_max=16, engine=engine)
         ServiceClient(port=port).wait_ready()
-        got = service_candidates(port, range(SMALL["fault_count"]))
+        got = service_candidates(server, engine, range(SMALL["fault_count"]))
         for i, direct in enumerate(expected):
             assert got[i] == tuple(sorted(direct.candidate_cells)), \
                 f"fault {i} differs on the serial server"
 
     def test_repeated_requests_are_stable(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         ServiceClient(port=port).wait_ready()
         with ServiceClient(port=port) as client:
             first = client.diagnose(small_request(2))

@@ -12,7 +12,7 @@ from repro.service.client import ServiceClient, TransportError
 from repro.service.engine import DiagnosisEngine
 from repro.service.protocol import DiagnoseRequest, ServiceError
 
-from .conftest import SMALL
+from .conftest import SMALL, GatedEngine, coalesce_behind_gate
 
 
 def small_payload(fault_index=0, **overrides):
@@ -35,7 +35,7 @@ class SlowEngine(DiagnosisEngine):
 
 class TestHappyPath:
     def test_health_diagnose_metrics(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         with ServiceClient(port=port) as client:
             client.wait_ready()
             health = client.health()
@@ -63,7 +63,7 @@ class TestHappyPath:
             )
 
     def test_one_diagnose_observes_each_stage_once(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         key = "service.request_seconds{stage=%s}"
         with ServiceClient(port=port) as client:
             client.wait_ready()
@@ -81,7 +81,7 @@ class TestHappyPath:
                     - sum(hists[0]["buckets"].values())) == 1
 
     def test_keep_alive_serves_many_requests(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         with ServiceClient(port=port) as client:
             client.wait_ready()
             replies = [client.diagnose(small_payload(i % 3)) for i in range(6)]
@@ -190,8 +190,7 @@ class TestAdmissionControl:
         import threading
 
         _, port = live_server(
-            engine=SlowEngine(0.6), queue_depth=1, batch_max=1,
-            batch_wait_ms=0)
+            engine=SlowEngine(0.6), queue_depth=1, batch_max=1)
         ServiceClient(port=port).wait_ready()
         results = {}
 
@@ -220,7 +219,7 @@ class TestAdmissionControl:
         assert rejected.retry_after_s is not None
 
     def test_deadline_exceeded_504(self, live_server):
-        _, port = live_server(engine=SlowEngine(0.8), batch_wait_ms=0)
+        _, port = live_server(engine=SlowEngine(0.8))
         with ServiceClient(port=port) as client:
             client.wait_ready()
             with pytest.raises(ServiceError) as exc:
@@ -233,25 +232,18 @@ class TestAdmissionControl:
 
 class TestBatchingOverHttp:
     def test_concurrent_same_workload_requests_coalesce(self, live_server):
-        import threading
-
-        _, port = live_server(batch_wait_ms=150, batch_max=16)
+        engine = GatedEngine()
+        server, port = live_server(engine=engine, batch_max=16)
         ServiceClient(port=port).wait_ready()
-        # Warm the workload so the batch window dominates, not compile time.
-        with ServiceClient(port=port) as warm:
-            warm.diagnose(small_payload(0))
         replies = {}
 
         def fire(i):
             with ServiceClient(port=port, timeout_s=30) as client:
                 replies[i] = client.diagnose(small_payload(i))
 
-        threads = [threading.Thread(target=fire, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # At least one multi-request batch formed inside the 150 ms window.
+        # Request 0 holds the engine; 1..4 queue behind it.
+        coalesce_behind_gate(server, engine, fire, range(5))
+        # At least one multi-request batch formed while the engine was busy.
         assert max(r.batch_size for r in replies.values()) >= 2
 
 
@@ -271,7 +263,7 @@ class TestPrometheusExposition:
         return response, body
 
     def _warmed_port(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         with ServiceClient(port=port) as client:
             client.wait_ready()
             client.diagnose(small_payload(0))
@@ -335,7 +327,7 @@ class TestPrometheusExposition:
 
 class TestGracefulShutdown:
     def test_drain_serves_queued_work_then_refuses(self, live_server):
-        server, port = live_server(batch_wait_ms=1)
+        server, port = live_server()
         with ServiceClient(port=port) as client:
             client.wait_ready()
             assert client.diagnose(small_payload(0)).candidate_cells

@@ -22,7 +22,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.flightrec import SLOW_KEEP
 
-from .conftest import SMALL
+from .conftest import SMALL, GatedEngine, coalesce_behind_gate
 
 
 def small_payload(fault_index=0, **overrides):
@@ -40,7 +40,7 @@ def reset_flight():
 
 class TestTraceContext:
     def test_client_trace_id_echoed(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         trace_id = new_trace_id()
         with ServiceClient(port=port) as client:
             client.wait_ready()
@@ -48,7 +48,7 @@ class TestTraceContext:
         assert reply.trace_id == trace_id
 
     def test_server_mints_trace_id_when_client_sends_none(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         with ServiceClient(port=port) as client:
             client.wait_ready()
             reply = client.diagnose(small_payload(0))
@@ -56,7 +56,7 @@ class TestTraceContext:
         int(reply.trace_id, 16)  # well-formed hex
 
     def test_distinct_requests_get_distinct_traces(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         with ServiceClient(port=port) as client:
             client.wait_ready()
             ids = {client.diagnose(small_payload(i % 3)).trace_id
@@ -71,9 +71,10 @@ class TestThreeTierTraceTree:
         was_enabled = trace_enabled()
         enable_tracing()
         try:
-            # A long coalescing window so the concurrent requests land in
-            # one batch.
-            _, port = live_server(batch_wait_ms=500, batch_max=32)
+            # The first request holds the engine busy so the others
+            # queue and land in one batch.
+            engine = GatedEngine()
+            server, port = live_server(engine=engine, batch_max=32)
             ids = [new_trace_id() for _ in range(SMALL["fault_count"])]
 
             def fire(k):
@@ -82,12 +83,7 @@ class TestThreeTierTraceTree:
 
             with ServiceClient(port=port) as client:
                 client.wait_ready()
-            threads = [threading.Thread(target=fire, args=(k,))
-                       for k in range(len(ids))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            coalesce_behind_gate(server, engine, fire, range(len(ids)))
 
             batch = max((r for r in FLIGHT.since()
                          if r["name"] == "service.batch"),
@@ -139,7 +135,7 @@ class TestTracedServer:
         ``/debug/trace``."""
         capacity = traced_small_ring
         baseline = _retained_span_objects()
-        server, port = live_server(batch_wait_ms=1)
+        server, port = live_server()
         with ServiceClient(port=port) as client:
             client.wait_ready()
             for _ in range(3):
@@ -165,7 +161,7 @@ class TestTracedServer:
 
 class TestDebugEndpoints:
     def test_debug_requests_lists_recent_records(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         trace_id = new_trace_id()
         with ServiceClient(port=port) as client:
             client.wait_ready()
@@ -181,7 +177,7 @@ class TestDebugEndpoints:
         assert any(r["trace_id"] == trace_id for r in snap["slow"][key])
 
     def test_debug_requests_records_errors(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         with ServiceClient(port=port) as client:
             client.wait_ready()
             with pytest.raises(ServiceError):
@@ -191,7 +187,7 @@ class TestDebugEndpoints:
         assert any(r["status"] == "circuit_not_found" for r in errors)
 
     def test_debug_flightrec_resizes_recorder_live(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         with ServiceClient(port=port) as client:
             client.wait_ready()
             state = client.debug_flightrec()
@@ -295,7 +291,7 @@ class TestOutcomeLabels:
         from .test_server import SlowEngine
 
         _, port = live_server(engine=SlowEngine(0.5), queue_depth=1,
-                              batch_max=1, batch_wait_ms=1)
+                              batch_max=1)
 
         rejected = []
 
