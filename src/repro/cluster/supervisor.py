@@ -101,6 +101,10 @@ class WorkerSlot:
         self.draining = False
         self.metrics: Dict[str, Any] = {}
         self.requests: Dict[str, int] = {}
+        #: Counters and histograms of every earlier worker in this slot,
+        #: folded in from each one's last heartbeat when it exited.
+        self.retired_metrics: Dict[str, Any] = {}
+        self.retired_requests: Counter = Counter()
 
     @property
     def live(self) -> bool:
@@ -118,10 +122,26 @@ class WorkerSlot:
                 round(now - self.last_seen, 3) if self.live else None
             ),
             "draining": self.draining,
-            #: Cumulative request count from the last heartbeat — lets
-            #: ``repro top`` derive per-worker rps from poll deltas.
-            "requests_total": int(sum(self.requests.values())),
+            #: Cumulative request count of the slot, earlier workers
+            #: included — lets ``repro top`` derive per-worker rps from
+            #: poll deltas that never go negative across a respawn.
+            "requests_total": int(sum(self.requests.values())
+                                  + sum(self.retired_requests.values())),
         }
+
+    def retire(self) -> None:
+        """Fold the exited worker's last heartbeat into the slot's retired
+        totals, so fleet counters never go backwards across a respawn.
+        Its gauges are dropped: they describe a process that is gone."""
+        if self.metrics:
+            last = {key: self.metrics.get(key, {})
+                    for key in ("counters", "histograms")}
+            self.retired_metrics = merge_snapshots(
+                {"last": last}, base=self.retired_metrics)
+        self.retired_requests.update(
+            {code: int(count) for code, count in self.requests.items()})
+        self.metrics = {}
+        self.requests = {}
 
 
 class _HttpConn:
@@ -497,6 +517,7 @@ class ClusterSupervisor:
                         now: float) -> None:
         uptime = now - slot.started_at
         self._unregister(slot)
+        slot.retire()
         slot.pid = None
         slot.exit_code = exit_code
         log(f"cluster: worker slot={slot.index} exited code={exit_code} "
@@ -865,15 +886,20 @@ class ClusterSupervisor:
             str(slot.index): slot.metrics
             for slot in self.slots if slot.metrics
         }
+        per_worker.update({
+            f"{slot.index}-retired": slot.retired_metrics
+            for slot in self.slots if slot.retired_metrics
+        })
         return merge_snapshots(per_worker, base=METRICS.snapshot())
 
     def metrics_payload(self) -> Dict[str, Any]:
         health, _healthy = self.health_payload()
         registry = self.merged_registry()
-        requests: Dict[str, int] = {}
+        requests: Counter = Counter()
         for slot in self.slots:
-            for code, count in slot.requests.items():
-                requests[code] = requests.get(code, 0) + int(count)
+            requests.update(slot.retired_requests)
+            requests.update(
+                {code: int(count) for code, count in slot.requests.items()})
         return {
             **health,
             "requests": dict(sorted(requests.items())),

@@ -11,8 +11,8 @@ by any later process with the same configuration.
 Entry format (one file per entry, ``<kind>-<digest>.rpdc``):
 
 * a versioned header — magic ``RPDC``, a format version, and a JSON meta
-  block carrying the kind, the ``repr`` of the memo key, schema version
-  and section lengths;
+  block carrying the kind, the ``repr`` of the memo key, the code digest
+  (:func:`code_digest`) and section lengths;
 * the pickle-protocol-5 stream of the value with every large numpy buffer
   externalized (``buffer_callback``), followed by the raw buffers, each
   64-byte aligned.
@@ -27,8 +27,8 @@ Writes are atomic and multi-writer safe (pid-tagged ``O_EXCL`` temp file
 + ``os.replace``) so concurrent processes — cluster workers warming the
 same circuits included — can share one cache directory; losing a write
 race to a sibling is a benign hit (``cache.disk.races``), since the
-digest covers the kind, the full memo key and the schema version and any
-config change simply misses.  Corrupt,
+digest covers the kind, the full memo key and the code digest, and any
+config or code change simply misses.  Corrupt,
 truncated or stale-format files are treated as misses, counted
 (``cache.disk.errors``) and quarantined — never a traceback.
 """
@@ -36,6 +36,7 @@ truncated or stale-format files are treated as misses, counted
 from __future__ import annotations
 
 import ast
+import functools
 import hashlib
 import json
 import mmap
@@ -53,9 +54,6 @@ from ..telemetry import METRICS, debug, log
 MAGIC = b"RPDC"
 #: On-disk layout version; bump when the file format changes.
 FORMAT_VERSION = 1
-#: Cached-object schema version; bump when Workload/CompiledCircuit & co.
-#: change shape so stale entries miss instead of resurrecting old layouts.
-SCHEMA_VERSION = 1
 #: Buffer sections are aligned to this many bytes so mmap-backed uint64
 #: arrays come out aligned.
 ALIGN = 64
@@ -88,14 +86,34 @@ def enabled_for(kind: str) -> bool:
     return kind in DISK_KINDS and cache_dir() is not None
 
 
+@functools.lru_cache(maxsize=1)
+def code_digest() -> str:
+    """Digest of every ``.py`` source of the ``repro`` package (computed
+    once per process).
+
+    Entries are keyed on it, so any code change — a new field on a cached
+    object, a fixed builder — misses instead of resurrecting what older
+    code built.
+    """
+    package = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()[:16]
+
+
 def key_digest(kind: str, key: Hashable) -> str:
-    """Content address: kind + schema version + the full memo key.
+    """Content address: kind + code digest + the full memo key.
 
     Memo keys are tuples of primitives with stable ``repr`` (circuit
     names, scales, seeds, chain tuples — see ``experiments.cache``), so
-    the digest is deterministic across processes and machines.
+    the digest is deterministic across processes and machines running
+    the same code.
     """
-    raw = f"{kind}|schema{SCHEMA_VERSION}|{key!r}"
+    raw = f"{kind}|code{code_digest()}|{key!r}"
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:40]
 
 
@@ -156,8 +174,8 @@ def _read_entry(path: Path) -> Tuple[Any, Dict[str, Any]]:
     if header_end > len(mm):
         raise DiskCacheError("truncated header")
     meta = json.loads(bytes(mm[_PREAMBLE.size:header_end]).decode("utf-8"))
-    if meta.get("schema") != SCHEMA_VERSION:
-        raise DiskCacheError(f"schema {meta.get('schema')} != {SCHEMA_VERSION}")
+    if meta.get("code") != code_digest():
+        raise DiskCacheError(f"code {meta.get('code')} != {code_digest()}")
     view = memoryview(mm)
     offset = _align_up(header_end)
     pickle_len = int(meta["pickle_len"])
@@ -197,7 +215,7 @@ def store(kind: str, key: Hashable, value: Any) -> bool:
         meta = {
             "kind": kind,
             "key": repr(key),
-            "schema": SCHEMA_VERSION,
+            "code": code_digest(),
             "created": time.time(),
             "pickle_len": len(stream),
             "buffer_lens": [raw.nbytes for raw in raw_buffers],
@@ -207,7 +225,7 @@ def store(kind: str, key: Hashable, value: Any) -> bool:
         if path.exists():
             # Another process (e.g. a sibling cluster worker warming the
             # same circuit) already published this entry.  The digest
-            # covers kind + key + schema, so the contents are identical —
+            # covers kind + key + code, so the contents are identical —
             # losing the race is a benign hit, not a failure.
             _bump("races")
             METRICS.incr("cache.disk.races", 1, labels={"kind": kind})

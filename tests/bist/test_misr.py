@@ -2,11 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bist.misr import MISR, LinearCompactor, _mat_mul, _mat_vec
+from repro.bist.lfsr import PRIMITIVE_TAPS
+from repro.bist.misr import (MISR, LinearCompactor, _char_poly_mask, _mat_mul,
+                             _mat_vec)
 
 
 def mat_pow(cols, exponent, width):
@@ -143,8 +146,6 @@ class TestParityCompactor:
 
     def test_even_error_groups_alias(self, rng):
         """The structural weakness: a group with two errors passes."""
-        import numpy as np
-
         from repro.bist.misr import ParityCompactor
         from repro.bist.session import run_partition_sessions
 
@@ -196,3 +197,51 @@ class TestLinearCompactor:
         # ~1e6 cycles, as in the SOC experiments.
         sig = compactor.error_signature([(0, 0)], 1_000_000)
         assert sig != 0
+
+
+def impulse_table_reference(compactor, channel, max_steps):
+    """``A**s @ inject_c`` for ``s = 0 .. max_steps``, one Galois step of
+    the register at a time: the reference for
+    :meth:`LinearCompactor.impulse_table`."""
+    poly = _char_poly_mask(compactor.width)
+    state_mask = (1 << compactor.width) - 1
+    state = 1 << compactor.input_stages[channel]
+    table = [state]
+    for _ in range(max_steps):
+        top = (state >> (compactor.width - 1)) & 1
+        state = (state << 1) & state_mask
+        if top:
+            state ^= poly
+        table.append(state)
+    return table
+
+
+class TestImpulseTable:
+    @pytest.mark.parametrize("width", sorted(PRIMITIVE_TAPS))
+    def test_bit_identical_to_stepped_reference_across_growth(self, width):
+        num_inputs = min(3, width)
+        compactor = LinearCompactor(width, num_inputs)
+        reference = {c: impulse_table_reference(compactor, c, 3000)
+                     for c in range(num_inputs)}
+        # Grow each channel's cached table through sizes that do and do
+        # not land on a power of two, and re-read a shorter prefix.
+        for max_steps in (0, 1, 2, 7, 64, 100, 1023, 1024, 3000, 500):
+            for channel in range(num_inputs):
+                table = compactor.impulse_table(channel, max_steps)
+                assert table.dtype == np.uint64
+                assert table.size >= max_steps + 1
+                assert table.tolist() == reference[channel][:table.size]
+
+    def test_cached_table_is_reused(self):
+        compactor = LinearCompactor(16, 2)
+        table = compactor.impulse_table(1, 200)
+        assert compactor.impulse_table(1, 150) is table
+        assert compactor.impulse_table(1, 201) is not table
+
+    def test_square_and_multiply_beyond_table_limit(self):
+        compactor = LinearCompactor(32, 4)
+        channels = np.array([0, 1, 2, 3, 1])
+        steps = np.array([0, 5, 1 << 22, (1 << 30) + 12345, (1 << 39) - 1])
+        got = compactor.batch_impulse_responses(channels, steps)
+        assert got.tolist() == [compactor.impulse_response(int(c), int(s))
+                                for c, s in zip(channels, steps)]

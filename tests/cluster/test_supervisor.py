@@ -126,8 +126,9 @@ def http_get(port, path, method="GET", headers=(), request_line=None):
     return int(head.split(b" ")[1]), body
 
 
-def exchange(port, data, timeout=5.0):
-    """Send raw request bytes; the first response's head and body."""
+def exchange(port, data, timeout=5.0, closes=False):
+    """Send raw request bytes; the first response's head and body.  With
+    ``closes``, the endpoint must also close the connection after it."""
     with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
         try:
             sock.sendall(data)
@@ -144,6 +145,8 @@ def exchange(port, data, timeout=5.0):
             chunk = sock.recv(65536)
             assert chunk, "closed mid-body"
             body += chunk
+        if closes:
+            assert sock.recv(65536) == b"", "connection left open"
     return head, body
 
 
@@ -243,8 +246,10 @@ def _get(target, *headers):
 
 
 #: (case id, raw request, status, error code): the framing and routing
-#: contract the diagnosis server and the control port share.
+#: contract the diagnosis server and the control port share.  A ``None``
+#: code is a success reply that must close the connection after it.
 WIRE_CASES = [
+    ("http10-healthz", b"GET /healthz HTTP/1.0\r\n\r\n", 200, None),
     ("request-line-garbage", b"GARBAGE\r\n\r\n", 400, "malformed_payload"),
     ("request-line-no-version", b"GET /healthz\r\n\r\n", 400,
      "malformed_payload"),
@@ -309,10 +314,13 @@ class TestControlHttp:
         pytest.param(raw, status, code, id=name)
         for name, raw, status, code in WIRE_CASES])
     def test_wire_case(self, endpoints, endpoint, raw, status, code):
-        head, body = exchange(endpoints[endpoint], raw)
+        head, body = exchange(endpoints[endpoint], raw, closes=code is None)
         assert head.startswith(b"HTTP/1.1 %d " % status), head
-        if code == "malformed_payload":
+        if code in (None, "malformed_payload"):
             assert b"\r\nConnection: close" in head
+        if code is None:
+            assert json.loads(body)["status"] == "ok"
+            return
         error = json.loads(body)["error"]
         assert error["code"] == code
         assert error["message"]

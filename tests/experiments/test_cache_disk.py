@@ -11,7 +11,6 @@ from repro.experiments.cache_disk import (
     DISK_KINDS,
     FORMAT_VERSION,
     MAGIC,
-    SCHEMA_VERSION,
     DiskCacheError,
     cache_dir,
     enabled_for,
@@ -56,6 +55,14 @@ class TestConfiguration:
         assert key_digest("workload", key) != key_digest("partitions", key)
         assert key_digest("workload", key) != key_digest("workload", key + (1,))
         assert len(key_digest("workload", key)) == 40
+
+    def test_code_digest_is_stable_and_keys_every_entry(self, monkeypatch):
+        key = ("s953", 1.0, 128, 7, 400)
+        mine = key_digest("workload", key)
+        assert cache_disk.code_digest() == cache_disk.code_digest()
+        assert len(cache_disk.code_digest()) == 16
+        monkeypatch.setattr(cache_disk, "code_digest", lambda: "0" * 16)
+        assert key_digest("workload", key) != mine
 
 
 class TestRoundTrip:
@@ -230,6 +237,31 @@ class TestMemoizedIntegration:
         assert calls == [1]  # builder not re-run: served from disk
         assert np.array_equal(first["matrix"], second["matrix"])
         assert cache_disk.stats()["hits"] == 1
+
+    def test_entry_from_other_code_misses_and_is_rebuilt(self, disk_root,
+                                                         monkeypatch):
+        key = ("s27", 1.0, 64, 0, 15)
+        mine = cache_disk.code_digest()
+        monkeypatch.setattr(cache_disk, "code_digest", lambda: "f" * 16)
+        cache.memoized("workload", key, lambda: sample_value(1))
+        monkeypatch.setattr(cache_disk, "code_digest", lambda: mine)
+        cache.clear()
+        assert cache.warm_from_disk() == 0  # other code's entry not seeded
+        calls = []
+
+        def builder():
+            calls.append(1)
+            return sample_value(2)
+
+        rebuilt = cache.memoized("workload", key, builder)
+        assert calls == [1]  # the other code's entry was not served
+        assert rebuilt["name"] == "entry-2"
+        assert cache_disk.stats()["hits"] == 0
+        assert entry_path(disk_root, "workload", key).exists()
+        assert len(list(disk_root.glob("workload-*"))) == 2
+        cache.clear()
+        again = cache.memoized("workload", key, builder)
+        assert calls == [1] and again["name"] == "entry-2"  # now a disk hit
 
     def test_unpersisted_kind_always_builds(self, disk_root):
         calls = []
